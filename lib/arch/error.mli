@@ -5,7 +5,8 @@
     watchdog expiry — is a constructor of {!t} carrying structured
     forensics, so harnesses (the resilience property, the CLI, CI) can
     match on the cause instead of parsing strings. Simulation code raises
-    {!Sim_error}. *)
+    {!Sim_error}; [Interp.run] catches it at its boundary and returns the
+    value. *)
 
 type conflict = {
   buffer : string;

@@ -8,7 +8,7 @@ type retry_policy = { timeout_s : float; backoff : float; max_retries : int }
    luck; backoff doubles each round. *)
 let default_retry = { timeout_s = 50e-6; backoff = 2.0; max_retries = 8 }
 
-type result = { seconds : float; races : Error.race list; retries : int }
+type result = { seconds : float; retries : int }
 
 let fail fmt =
   Printf.ksprintf (fun s -> raise (Error.Sim_error (Error.Invalid s))) fmt
@@ -162,37 +162,41 @@ let run_cpe cluster cpe ~params ~user ~retry ~retries
 
 let run ?trace ?faults ?watchdog ?retry ~config ~functional ~mem ?user
     (program : Sw_ast.Ast.program) =
-  let cluster = Cluster.create ?trace ?faults ~config ~functional ~mem () in
-  (* Retry deadlines only matter when replies can be lost; without a fault
-     plan every wait is satisfied normally, so disarm the deadline path and
-     keep the fault-free simulation bit-identical to the plain model (no
-     stale timeout events advancing the final clock). *)
-  let retry = if faults = None then None else retry in
-  (match watchdog with
-  | Some w -> Engine.set_watchdog cluster.Cluster.engine w
-  | None -> ());
-  let retries = ref 0 in
-  Cluster.alloc_buffers cluster program.Sw_ast.Ast.spm_decls;
-  Cluster.alloc_replies cluster program.Sw_ast.Ast.replies;
-  Cluster.iter_cpes cluster (fun cpe ->
-      let params name =
-        match name with
-        | "Rid" -> cpe.Cluster.rid
-        | "Cid" -> cpe.Cluster.cid
-        | _ -> (
-            match List.assoc_opt name program.Sw_ast.Ast.params with
-            | Some v -> v
-            | None -> fail "unknown parameter %s" name)
-      in
-      Engine.spawn
-        ~label:(Printf.sprintf "CPE(%d,%d)" cpe.Cluster.rid cpe.Cluster.cid)
-        cluster.Cluster.engine
-        (fun () ->
-          run_cpe cluster cpe ~params ~user ~retry ~retries
-            program.Sw_ast.Ast.body));
-  let finish = Engine.run cluster.Cluster.engine in
-  {
-    seconds = finish +. config.Config.mesh_startup_s;
-    races = Cluster.races cluster;
-    retries = !retries;
-  }
+  (* The simulator's single failure boundary: every typed error raised
+     anywhere below, and a non-empty race list, come back as [Error]. *)
+  match
+    let cluster = Cluster.create ?trace ?faults ~config ~functional ~mem () in
+    (* Retry deadlines only matter when replies can be lost; without a fault
+       plan every wait is satisfied normally, so disarm the deadline path and
+       keep the fault-free simulation bit-identical to the plain model (no
+       stale timeout events advancing the final clock). *)
+    let retry = if faults = None then None else retry in
+    (match watchdog with
+    | Some w -> Engine.set_watchdog cluster.Cluster.engine w
+    | None -> ());
+    let retries = ref 0 in
+    Cluster.alloc_buffers cluster program.Sw_ast.Ast.spm_decls;
+    Cluster.alloc_replies cluster program.Sw_ast.Ast.replies;
+    Cluster.iter_cpes cluster (fun cpe ->
+        let params name =
+          match name with
+          | "Rid" -> cpe.Cluster.rid
+          | "Cid" -> cpe.Cluster.cid
+          | _ -> (
+              match List.assoc_opt name program.Sw_ast.Ast.params with
+              | Some v -> v
+              | None -> fail "unknown parameter %s" name)
+        in
+        Engine.spawn
+          ~label:(Printf.sprintf "CPE(%d,%d)" cpe.Cluster.rid cpe.Cluster.cid)
+          cluster.Cluster.engine
+          (fun () ->
+            run_cpe cluster cpe ~params ~user ~retry ~retries
+              program.Sw_ast.Ast.body));
+    let finish = Engine.run cluster.Cluster.engine in
+    (finish, Cluster.races cluster, !retries)
+  with
+  | exception Error.Sim_error e -> Error e
+  | _, (_ :: _ as races), _ -> Error (Error.Race races)
+  | finish, [], retries ->
+      Ok { seconds = finish +. config.Config.mesh_startup_s; retries }

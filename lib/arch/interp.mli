@@ -26,8 +26,6 @@ val default_retry : retry_policy
 type result = {
   seconds : float;
       (** simulated wall time: mesh startup + the slowest CPE's finish *)
-  races : Error.race list;
-      (** double-buffering violations, sorted by CPE then buffer *)
   retries : int;  (** timed-out waits that were retried (0 without faults) *)
 }
 
@@ -41,14 +39,16 @@ val run :
   mem:Mem.t ->
   ?user:(rid:int -> cid:int -> string -> (string * int) list -> unit) ->
   Sw_ast.Ast.program ->
-  result
-(** Raises {!Error.Sim_error} on every failure: [Invalid] for malformed
-    programs (unbound loop variables, unknown parameters, a [User]
-    statement without a [user] callback), [Overflow] for SPM exhaustion,
-    [Bounds] for out-of-range main-memory accesses, [Deadlock] (with a
-    full quiescence diagnosis) when fibers block forever, [Watchdog] when a
-    [?watchdog] budget trips, and [Fault_exhausted] when a wait under
-    [?retry] runs out of retries.
+  (result, Error.t) Stdlib.result
+(** Total: never raises {!Error.Sim_error}. [Ok] means the run completed
+    race-free; every failure is a typed [Error]: [Race] listing every
+    double-buffering violation (sorted by CPE then buffer), [Invalid] for
+    malformed programs (unbound loop variables, unknown parameters, a
+    [User] statement without a [user] callback), [Overflow] for SPM
+    exhaustion, [Bounds] for out-of-range main-memory accesses,
+    [Deadlock] (with a full quiescence diagnosis) when fibers block
+    forever, [Watchdog] when a [?watchdog] budget trips, and
+    [Fault_exhausted] when a wait under [?retry] runs out of retries.
 
     [?faults] perturbs the simulation per the plan; omitted, every fault
     hook short-circuits and results are bit-identical to the pre-fault

@@ -183,20 +183,15 @@ let simulate (compiled : Compile.t) ~a ~b ~c0 =
     Sw_arch.Interp.run ~watchdog ~config:compiled.Compile.config
       ~functional:true ~mem compiled.Compile.program
   with
-  | exception Sw_arch.Error.Sim_error e ->
-      fail "simulate" "%s" (Sw_arch.Error.to_string e)
-  | result ->
-      if result.Sw_arch.Interp.races <> [] then
-        fail "simulate" "%d double-buffering race(s)"
-          (List.length result.Sw_arch.Interp.races)
-      else
-        let nb = batch_count spec in
-        let data = Sw_arch.Mem.data mem "C" in
-        let mp = spec.Spec.m and np = spec.Spec.n in
-        Ok
-          (Array.init nb (fun bi ->
-               Matrix.init ~rows:orig.Spec.m ~cols:orig.Spec.n ~f:(fun r c ->
-                   data.((bi * mp * np) + (r * np) + c))))
+  | Error e -> fail "simulate" "%s" (Sw_arch.Error.to_string e)
+  | Ok _ ->
+      let nb = batch_count spec in
+      let data = Sw_arch.Mem.data mem "C" in
+      let mp = spec.Spec.m and np = spec.Spec.n in
+      Ok
+        (Array.init nb (fun bi ->
+             Matrix.init ~rows:orig.Spec.m ~cols:orig.Spec.n ~f:(fun r c ->
+                 data.((bi * mp * np) + (r * np) + c))))
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic relations                                                *)
@@ -378,16 +373,12 @@ let check_gemv ~m ~n ~alpha ~beta ~seed =
                  Sw_arch.Interp.run ~watchdog ~config ~functional:true ~mem
                    compiled.Gemv.program
                with
-              | exception Sw_arch.Error.Sim_error e ->
+              | Error e ->
                   fail "gemv-simulate" "%s" (Sw_arch.Error.to_string e)
-              | result ->
-                  if result.Sw_arch.Interp.races <> [] then
-                    fail "gemv-simulate" "%d double-buffering race(s)"
-                      (List.length result.Sw_arch.Interp.races)
-                  else
-                    let data = Sw_arch.Mem.data mem "y" in
-                    let got =
-                      Matrix.init ~rows:m ~cols:1 ~f:(fun i _ -> data.(i))
-                    in
-                    compare_batches ~stage:"gemv-sim-vs-ref"
-                      ~what:"simulated cluster" [| yref |] [| got |])))
+              | Ok _ ->
+                  let data = Sw_arch.Mem.data mem "y" in
+                  let got =
+                    Matrix.init ~rows:m ~cols:1 ~f:(fun i _ -> data.(i))
+                  in
+                  compare_batches ~stage:"gemv-sim-vs-ref"
+                    ~what:"simulated cluster" [| yref |] [| got |])))

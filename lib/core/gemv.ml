@@ -281,10 +281,8 @@ let verify ?(seed = 11) t =
   install "x" x;
   install "y" y;
   match Interp.run ~config:t.config ~functional:true ~mem t.program with
-  | exception Error.Sim_error e -> Error (Error.to_string e)
-  | r when r.Interp.races <> [] ->
-      Error (Error.to_string (Error.Race r.Interp.races))
-  | _ ->
+  | Error e -> Error (Error.to_string e)
+  | Ok _ ->
       let yref = Matrix.copy y in
       Dgemm.gemm ~alpha:t.spec.valpha ~beta:t.spec.vbeta ~a ~b:x ~c:yref;
       let data = Mem.data mem "y" in
@@ -302,16 +300,10 @@ let verify ?(seed = 11) t =
 
 let measure t =
   let open Sw_arch in
-  let mem = Mem.create () in
-  List.iter
-    (fun (d : Sw_ast.Ast.array_decl) ->
-      Mem.alloc mem d.Sw_ast.Ast.array_name ~dims:d.Sw_ast.Ast.dims)
-    t.program.Sw_ast.Ast.arrays;
+  let mem = Runner.timing_memory t.program in
   match Interp.run ~config:t.config ~functional:false ~mem t.program with
-  | exception Error.Sim_error e -> raise (Gemv_error (Error.to_string e))
-  | r ->
-      if r.Interp.races <> [] then
-        fail "%s" (Error.to_string (Error.Race r.Interp.races));
+  | Error e -> raise (Gemv_error (Error.to_string e))
+  | Ok r ->
       {
         Runner.seconds = r.Interp.seconds;
         gflops = Interp.gflops ~flops:(flops t) ~seconds:r.Interp.seconds;

@@ -106,26 +106,8 @@ let compare_result (compiled : Compile.t) ~tol ~cref mem =
   in
   check 0
 
-let verify ?(seed = 42) ?(tol = 1e-9) (compiled : Compile.t) =
-  let mem, a, b, c = setup_memory compiled ~seed in
-  match
-    Interp.run ~config:compiled.Compile.config ~functional:true ~mem
-      compiled.Compile.program
-  with
-  | exception Error.Sim_error e -> Error (Sim e)
-  | result ->
-      if result.Interp.races <> [] then
-        (* every race, sorted by CPE then buffer — not just the first *)
-        Error (Sim (Error.Race result.Interp.races))
-      else begin
-        (* reference runs on copies of the original inputs *)
-        let cref = Array.map Matrix.copy c in
-        reference compiled.Compile.spec ~a ~b ~c:cref;
-        compare_result compiled ~tol ~cref mem
-      end
-
 (* ------------------------------------------------------------------ *)
-(* Resilient execution (fault injection + recovery)                    *)
+(* Execution: the one path every view below goes through                *)
 (* ------------------------------------------------------------------ *)
 
 type recovery =
@@ -151,16 +133,38 @@ let mpe_fallback_seconds (compiled : Compile.t) ~at =
   in
   at +. (float_of_int (batch_count spec) *. per_batch)
 
-let verify_resilient ?(seed = 42) ?(tol = 1e-9) ?faults
-    ?(retry = Interp.default_retry) ?watchdog ?trace (compiled : Compile.t) =
-  let mem, a, b, c = setup_memory compiled ~seed in
-  let cref = Array.map Matrix.copy c in
-  reference compiled.Compile.spec ~a ~b ~c:cref;
+let timing_memory (program : Sw_ast.Ast.program) =
+  (* timing-only runs never touch data, but arrays must exist for bounds
+     checking of the DMA offsets *)
+  let mem = Mem.create () in
+  List.iter
+    (fun (d : Sw_ast.Ast.array_decl) ->
+      Mem.alloc mem d.Sw_ast.Ast.array_name ~dims:d.Sw_ast.Ast.dims)
+    program.Sw_ast.Ast.arrays;
+  mem
+
+type mode = Functional of { seed : int; tol : float } | Timing
+
+(* Set up memory, simulate once, degrade to the MPE when fault recovery is
+   exhausted, and — functionally — compare C against the reference. *)
+let execute ?faults ?retry ?watchdog ?trace ~mode (compiled : Compile.t) =
+  let mem, check =
+    match mode with
+    | Timing -> (timing_memory compiled.Compile.program, fun () -> Ok ())
+    | Functional { seed; tol } ->
+        let mem, a, b, c = setup_memory compiled ~seed in
+        ( mem,
+          fun () ->
+            (* the reference runs on copies of the original inputs *)
+            let cref = Array.map Matrix.copy c in
+            reference compiled.Compile.spec ~a ~b ~c:cref;
+            compare_result compiled ~tol ~cref mem )
+  in
   match
-    Interp.run ?trace ?faults ?watchdog ~retry ~config:compiled.Compile.config
-      ~functional:true ~mem compiled.Compile.program
+    Interp.run ?trace ?faults ?watchdog ?retry ~config:compiled.Compile.config
+      ~functional:(mode <> Timing) ~mem compiled.Compile.program
   with
-  | exception Error.Sim_error (Error.Fault_exhausted f) ->
+  | Error (Error.Fault_exhausted f as e) ->
       (* graceful degradation: the mesh-side run is abandoned and the whole
          problem re-runs on the MPE, whose result is the reference by
          construction — correct, just slow *)
@@ -168,80 +172,40 @@ let verify_resilient ?(seed = 42) ?(tol = 1e-9) ?faults
       Ok
         {
           seconds = mpe_fallback_seconds compiled ~at:f.sim_time;
-          recovery =
-            Mpe_fallback { reason = Error.to_string (Error.Fault_exhausted f) };
+          recovery = Mpe_fallback { reason = Error.to_string e };
         }
-  | exception Error.Sim_error e -> Error (Sim e)
-  | result ->
-      if result.Interp.races <> [] then
-        Error (Sim (Error.Race result.Interp.races))
-      else begin
-        match compare_result compiled ~tol ~cref mem with
-        | Error _ as e -> e
-        | Ok () ->
-            Ok
-              {
-                seconds = result.Interp.seconds;
-                recovery =
-                  (if result.Interp.retries > 0 then
-                     Retried result.Interp.retries
-                   else No_recovery);
-              }
-      end
+  | Error e -> Error (Sim e)
+  | Ok r ->
+      Result.map
+        (fun () ->
+          {
+            seconds = r.Interp.seconds;
+            recovery =
+              (if r.Interp.retries > 0 then Retried r.Interp.retries
+               else No_recovery);
+          })
+        (check ())
+
+let verify ?(seed = 42) ?(tol = 1e-9) compiled =
+  Result.map ignore (execute ~mode:(Functional { seed; tol }) compiled)
+
+let verify_resilient ?(seed = 42) ?(tol = 1e-9) ?faults
+    ?(retry = Interp.default_retry) ?watchdog ?trace compiled =
+  execute ?faults ~retry ?watchdog ?trace ~mode:(Functional { seed; tol })
+    compiled
+
+let timing_resilient ?faults ?(retry = Interp.default_retry) ?watchdog ?trace
+    compiled =
+  execute ?faults ~retry ?watchdog ?trace ~mode:Timing compiled
+
+let run_timing ?trace compiled =
+  match execute ?trace ~mode:Timing compiled with
+  | Ok r -> r.seconds
+  | Error e -> raise (Runner_error e)
 
 (* ------------------------------------------------------------------ *)
 (* Timing                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let timing_memory (compiled : Compile.t) =
-  (* timing-only runs never touch data, but arrays must exist for bounds
-     checking of the DMA offsets *)
-  let mem = Mem.create () in
-  List.iter
-    (fun (d : Sw_ast.Ast.array_decl) ->
-      Mem.alloc mem d.Sw_ast.Ast.array_name ~dims:d.Sw_ast.Ast.dims)
-    compiled.Compile.program.Sw_ast.Ast.arrays;
-  mem
-
-let run_timing ?trace (compiled : Compile.t) =
-  let mem = timing_memory compiled in
-  match
-    Interp.run ?trace ~config:compiled.Compile.config ~functional:false ~mem
-      compiled.Compile.program
-  with
-  | exception Error.Sim_error e -> raise (Runner_error (Sim e))
-  | result ->
-      if result.Interp.races <> [] then
-        raise (Runner_error (Sim (Error.Race result.Interp.races)));
-      result.Interp.seconds
-
-let timing_resilient ?faults ?(retry = Interp.default_retry) ?watchdog ?trace
-    (compiled : Compile.t) =
-  let mem = timing_memory compiled in
-  match
-    Interp.run ?trace ?faults ?watchdog ~retry ~config:compiled.Compile.config
-      ~functional:false ~mem compiled.Compile.program
-  with
-  | exception Error.Sim_error (Error.Fault_exhausted f) ->
-      Sw_obs.Metrics.incr_a "runner.mpe_fallbacks_total";
-      Ok
-        {
-          seconds = mpe_fallback_seconds compiled ~at:f.sim_time;
-          recovery =
-            Mpe_fallback { reason = Error.to_string (Error.Fault_exhausted f) };
-        }
-  | exception Error.Sim_error e -> Error (Sim e)
-  | result ->
-      if result.Interp.races <> [] then
-        Error (Sim (Error.Race result.Interp.races))
-      else
-        Ok
-          {
-            seconds = result.Interp.seconds;
-            recovery =
-              (if result.Interp.retries > 0 then Retried result.Interp.retries
-               else No_recovery);
-          }
 
 let perf_of ~flops ~seconds ~exact =
   { seconds; gflops = Interp.gflops ~flops ~seconds; exact }
@@ -277,13 +241,14 @@ let one_block_perf (compiled : Compile.t) ~k =
       ~tb:spec.Spec.tb ~fusion:spec.Spec.fusion ~m:t.Tile_model.mesh_m
       ~n:t.Tile_model.mesh_n ~k ()
   in
-  let c =
-    Compile.run_exn
+  match
+    Compile.run
       (Session.create ~no_cache:true ~options:compiled.Compile.options
          ~arch:compiled.Compile.config ())
       block_spec
-  in
-  run_timing c -. compiled.Compile.config.Config.mesh_startup_s
+  with
+  | Error e -> raise (Runner_error (Sim e))
+  | Ok c -> run_timing c -. compiled.Compile.config.Config.mesh_startup_s
 
 let measure ?(force_exact = false) (compiled : Compile.t) =
   if force_exact || op_estimate compiled < 3_000_000 then

@@ -1,9 +1,16 @@
 (** Running compiled programs on the simulated cluster.
 
+    Every entry point below is a view over one private execution path:
+    set up main memory (random inputs for functional runs, bare arrays for
+    timing-only ones), run {!Sw_arch.Interp.run} once — whose [Error]
+    already folds double-buffering races into [Race] — degrade to an MPE
+    re-run when fault recovery is exhausted, and, functionally, compare C
+    against the {!Sw_blas} reference.
+
     {!verify} executes the generated code functionally (real data movement
     through SPM buffers, DMA, RMA and micro kernels) and compares the
-    result against the {!Sw_blas} reference — the end-to-end correctness
-    argument for the whole pipeline.
+    result against the reference — the end-to-end correctness argument for
+    the whole pipeline.
 
     {!verify_resilient} does the same under an injected fault plan
     ({!Sw_arch.Fault}), with bounded retry-with-backoff on reply waits and
@@ -84,10 +91,15 @@ val timing_resilient :
 
 (** {2 Timing} *)
 
+val timing_memory : Sw_ast.Ast.program -> Sw_arch.Mem.t
+(** Main memory for a timing-only run: every declared array allocated
+    (DMA offsets are still bounds-checked), no data installed. *)
+
 val measure : ?force_exact:bool -> Compile.t -> perf
-(** Timing-only simulation. Raises {!Runner_error} if the run reports
-    races, and wraps any {!Sw_arch.Error.Sim_error} (deadlock, bounds,
-    ...) as [Runner_error (Sim _)]. *)
+(** Timing-only simulation. Raises [Runner_error (Sim e)] for every typed
+    failure [e]: a simulator failure (races, deadlock, bounds, ...) or, on
+    shapes too large to simulate exactly, a failed recompile of the
+    one-block kernel the measurement extrapolates from. *)
 
 val measure_exact : Compile.t -> perf
 (** Full simulation regardless of size (slow for large shapes). *)

@@ -110,9 +110,8 @@ let run_job (session : Session.t) (j : Plan.job) ~a ~b ~c =
         Interp.run ~config:session.Session.config ~functional:true ~mem
           compiled.Compile.program
       with
-      | exception Error.Sim_error e -> Error e
-      | r when r.Interp.races <> [] -> Error (Error.Race r.Interp.races)
-      | _ ->
+      | Error e -> Error e
+      | Ok _ ->
           let data = Mem.data mem "C" in
           let full =
             Matrix.init ~rows:padded.Spec.m ~cols:padded.Spec.n ~f:(fun i jj ->

@@ -46,9 +46,8 @@ let measure_realized ~(spec : Spec.t) (c : Space.candidate)
   | Error e -> Error (Sw_arch.Error.to_string e)
   | Ok compiled -> (
       match
-        try Ok (Runner.measure compiled) with
-        | Runner.Runner_error e -> Error (Runner.error_to_string e)
-        | Sw_arch.Error.Sim_error e -> Error (Sw_arch.Error.to_string e)
+        try Ok (Runner.measure compiled)
+        with Runner.Runner_error e -> Error (Runner.error_to_string e)
       with
       | Error e -> Error e
       | Ok perf ->
@@ -75,6 +74,30 @@ let measure ~config ~spec c =
   match Space.realize ~config ~spec c with
   | Error e -> Error e
   | Ok rz -> measure_realized ~spec c rz
+
+let ladder ~config spec =
+  let default = Space.default config spec in
+  let rows =
+    List.map
+      (fun mk ->
+        let c = { default with Space.mk } in
+        ( mk,
+          Result.bind (Space.realize ~config ~spec c) (fun rz ->
+              Result.map
+                (fun g -> (g, rz.Space.eff_note))
+                (measure_realized ~spec c rz)) ))
+      Space.ladder
+  in
+  let best =
+    List.fold_left
+      (fun best (mk, r) ->
+        match (r, best) with
+        | Ok (g, _), Some (_, bg) when g <= bg -> best
+        | Ok (g, _), _ -> Some (mk, g)
+        | Error _, _ -> best)
+      None rows
+  in
+  (rows, best)
 
 (* ------------------------------------------------------------------ *)
 (* The search proper                                                    *)

@@ -60,6 +60,18 @@ val measure :
     every prune — the soundness property's probe ("no pruned candidate
     ever beats the measured winner"). Returns useful Gflops. *)
 
+val ladder :
+  config:Sw_arch.Config.t ->
+  Sw_core.Spec.t ->
+  ((int * int * int) * (float * string, string) result) list
+  * ((int * int * int) * float) option
+(** The micro-kernel shape sweep of [bench ablation]: the paper-default
+    candidate at each {!Space.ladder} shape, realized once and measured.
+    Per shape, in ladder order: its useful Gflops and
+    {!Space.realized.eff_note}, or why it was rejected. Then the fastest
+    shape with its Gflops (the earlier shape wins a tie), [None] when no
+    shape measured. *)
+
 val session_hook :
   db:Tune_db.t ->
   config:Sw_arch.Config.t ->

@@ -36,6 +36,10 @@ val default : Sw_arch.Config.t -> Sw_core.Spec.t -> candidate
     shape, the [min R C] strip factor, double buffering, fusion kept on
     the CPEs. Always a member of {!enumerate}'s result. *)
 
+val ladder : (int * int * int) list
+(** The classic nine-shape micro-kernel ladder every ATLAS-style search
+    walks, from 16x16x8 to 128x128x64. *)
+
 val enumerate : config:Sw_arch.Config.t -> spec:Sw_core.Spec.t -> candidate list
 (** The full space for this (machine, problem): micro-kernel shapes
     around the config's own plus the classic tuning ladder, strip

@@ -317,6 +317,12 @@ let mini_program ~alpha =
       ];
   }
 
+(* A run that must complete race-free; any typed failure fails the test. *)
+let run_ok ?user ?(functional = true) ~config ~mem prog =
+  match Interp.run ~config ~functional ~mem ?user prog with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "expected a clean run: %s" (Error.to_string e)
+
 let test_interp_mini_gemm () =
   let mem = Mem.create () in
   Mem.alloc_init mem "A" ~dims:[ 4; 4 ] ~f:(fun idx ->
@@ -325,8 +331,7 @@ let test_interp_mini_gemm () =
       if idx.(0) = idx.(1) then 1.0 else 0.0);
   Mem.alloc mem "C" ~dims:[ 4; 4 ];
   let config = Config.tiny ~mesh:1 ~mk:(4, 4, 4) () in
-  let r = Interp.run ~config ~functional:true ~mem (mini_program ~alpha:3.0) in
-  check Alcotest.int "no races" 0 (List.length r.Interp.races);
+  let r = run_ok ~config ~mem (mini_program ~alpha:3.0) in
   Alcotest.(check bool) "took some time" true (r.Interp.seconds > 0.0);
   (* C = 3 * A * I = 3A *)
   let c = Mem.data mem "C" in
@@ -340,12 +345,12 @@ let test_interp_timing_only () =
   Mem.alloc mem "B" ~dims:[ 4; 4 ];
   Mem.alloc mem "C" ~dims:[ 4; 4 ];
   let config = Config.tiny ~mesh:1 ~mk:(4, 4, 4) () in
-  let fr = Interp.run ~config ~functional:true ~mem (mini_program ~alpha:1.0) in
+  let fr = run_ok ~config ~mem (mini_program ~alpha:1.0) in
   let mem2 = Mem.create () in
   Mem.alloc mem2 "A" ~dims:[ 4; 4 ];
   Mem.alloc mem2 "B" ~dims:[ 4; 4 ];
   Mem.alloc mem2 "C" ~dims:[ 4; 4 ];
-  let tr = Interp.run ~config ~functional:false ~mem:mem2 (mini_program ~alpha:1.0) in
+  let tr = run_ok ~functional:false ~config ~mem:mem2 (mini_program ~alpha:1.0) in
   Helpers.check_close "timing independent of data mode" fr.Interp.seconds
     tr.Interp.seconds;
   (* timing-only must not touch memory *)
@@ -384,8 +389,9 @@ let test_interp_race_detected () =
   Mem.alloc mem "B" ~dims:[ 4; 4 ];
   Mem.alloc mem "C" ~dims:[ 4; 4 ];
   let config = Config.tiny ~mesh:1 ~mk:(4, 4, 4) () in
-  let r = Interp.run ~config ~functional:true ~mem prog in
-  Alcotest.(check bool) "race detected" true (List.length r.Interp.races > 0)
+  match Interp.run ~config ~functional:true ~mem prog with
+  | Error (Error.Race (_ :: _)) -> ()
+  | _ -> Alcotest.fail "race not detected"
 
 let test_interp_spm_overflow () =
   let base = mini_program ~alpha:1.0 in
@@ -400,7 +406,7 @@ let test_interp_spm_overflow () =
   Mem.alloc mem "A" ~dims:[ 4; 4 ];
   let config = Config.tiny ~mesh:1 ~mk:(4, 4, 4) () in
   match Interp.run ~config ~functional:true ~mem prog with
-  | exception Error.Sim_error (Error.Overflow _) -> ()
+  | Error (Error.Overflow _) -> ()
   | _ -> Alcotest.fail "expected SPM overflow error"
 
 let test_rma_broadcast_functional () =
@@ -481,8 +487,7 @@ let test_rma_broadcast_functional () =
         ];
     }
   in
-  let r = Interp.run ~config ~functional:true ~mem prog in
-  check Alcotest.int "no races" 0 (List.length r.Interp.races);
+  ignore (run_ok ~config ~mem prog);
   (* every CPE's quadrant of C holds the column-0 tile of its mesh row *)
   let c = Mem.data mem "C" in
   let a = Mem.data mem "A" in
@@ -717,8 +722,7 @@ let test_interp_user_callback () =
   let user ~rid ~cid name args = seen := (rid, cid, name, args) :: !seen in
   let mem = Mem.create () in
   let config = Config.tiny ~mesh:2 ~mk:(2, 2, 2) () in
-  let r = Interp.run ~config ~functional:true ~mem ~user prog in
-  check Alcotest.int "no races" 0 (List.length r.Interp.races);
+  ignore (run_ok ~config ~mem ~user prog);
   check Alcotest.int "4 CPEs x 3 iterations" 12 (List.length !seen);
   (* Rid parameter resolves per CPE *)
   Alcotest.(check bool) "rid passed through" true
@@ -739,7 +743,7 @@ let test_interp_user_missing_callback () =
   let mem = Mem.create () in
   let config = Config.tiny ~mesh:1 ~mk:(2, 2, 2) () in
   match Interp.run ~config ~functional:true ~mem prog with
-  | exception Error.Sim_error (Error.Invalid _) -> ()
+  | Error (Error.Invalid _) -> ()
   | _ -> Alcotest.fail "missing user callback accepted"
 
 let user_tests =

@@ -466,33 +466,46 @@ let mesh_tests =
 let tests = tests @ mesh_tests
 
 (* ------------------------------------------------------------------ *)
-(* Tuner: the analytic model's choice wins the shape search (§3.1)      *)
+(* Tuner: the analytic model's choice wins the ladder search (§3.1)     *)
 (* ------------------------------------------------------------------ *)
+
+(* The paper-default candidate with its micro-kernel shape replaced. *)
+let ladder_candidate ~config spec mk =
+  { (Sw_tune.Space.default config spec) with Sw_tune.Space.mk }
 
 let test_tuner_vendor_shape_wins () =
   let config = Config.sw26010pro in
   let spec = Spec.make ~m:4096 ~n:4096 ~k:4096 () in
-  let results = Tuner.search ~config spec in
-  let (bm, bn, bk), bg = Tuner.best results in
+  let (bm, bn, bk), bg =
+    match Sw_tune.Search.ladder ~config spec with
+    | _, Some best -> best
+    | _, None -> Alcotest.fail "no ladder shape measured"
+  in
   check (Alcotest.list Alcotest.int) "analytic choice is optimal" [ 64; 64; 32 ]
     [ bm; bn; bk ];
   Alcotest.(check bool) "best beats 1500 Gflops" true (bg > 1500.0);
   (* oversized shapes are rejected for SPM overflow *)
-  let oversized = List.find (fun c -> c.Tuner.mk = (128, 128, 64)) results in
-  Alcotest.(check bool) "128x128x64 infeasible" false oversized.Tuner.feasible
+  Alcotest.(check bool) "128x128x64 infeasible" true
+    (Result.is_error
+       (Sw_tune.Space.realize ~config ~spec
+          (ladder_candidate ~config spec (128, 128, 64))))
 
 let test_tuner_report () =
   let config = Config.sw26010pro in
   let spec = Spec.make ~m:2048 ~n:2048 ~k:2048 () in
-  let results =
-    Tuner.search ~candidates:[ (64, 64, 32); (128, 128, 64) ] ~config spec
+  let realize mk =
+    Sw_tune.Space.realize ~config ~spec (ladder_candidate ~config spec mk)
   in
-  let r = Tuner.report results in
-  Alcotest.(check bool) "mentions vendor" true
-    (let re = "vendor" in
-     let n = String.length re and m = String.length r in
-     let rec go i = i + n <= m && (String.sub r i n = re || go (i + 1)) in
-     go 0)
+  (match realize (64, 64, 32) with
+  | Ok rz ->
+      Alcotest.(check bool) "mentions vendor" true
+        (Helpers.contains rz.Sw_tune.Space.eff_note "vendor")
+  | Error e -> Alcotest.fail e);
+  match realize (128, 128, 64) with
+  | Error e ->
+      Alcotest.(check bool) "names the SPM overflow" true
+        (Helpers.contains e "SPM")
+  | Ok _ -> Alcotest.fail "128x128x64 realized"
 
 let tuner_tests =
   [

@@ -109,11 +109,7 @@ let test_drop_forever_deadlocks_without_retry () =
   (* every reply permanently lost and no retry policy: the run must end in
      a deadlock diagnosis, not a hang *)
   let compiled = compile (spec_mnk ~m:8 ~n:8 ~k:8 ()) in
-  let mem = Mem.create () in
-  List.iter
-    (fun (d : Sw_ast.Ast.array_decl) ->
-      Mem.alloc mem d.Sw_ast.Ast.array_name ~dims:d.Sw_ast.Ast.dims)
-    compiled.Compile.program.Sw_ast.Ast.arrays;
+  let mem = Runner.timing_memory compiled.Compile.program in
   let spec =
     {
       (Fault.spec_with ~kinds:[ Fault.Drop_reply ] Fault.default_spec) with
@@ -126,14 +122,14 @@ let test_drop_forever_deadlocks_without_retry () =
     Interp.run ~faults ~watchdog ~config:tiny ~functional:false ~mem
       compiled.Compile.program
   with
-  | _ -> Alcotest.fail "expected a deadlock"
-  | exception Error.Sim_error (Error.Deadlock d) ->
+  | Error (Error.Deadlock d) ->
       Alcotest.(check bool) "blocked fibers listed" true (d.Error.fibers <> []);
       List.iter
         (fun (b : Error.blocked) ->
           Alcotest.(check bool) "fiber labelled with coordinates" true
             (Helpers.contains b.Error.fiber "CPE("))
         d.Error.fibers
+  | _ -> Alcotest.fail "expected a deadlock"
 
 (* ------------------------------------------------------------------ *)
 (* Recovery ladder: retry, then MPE fallback                            *)

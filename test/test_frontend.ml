@@ -368,11 +368,12 @@ let test_direct_matches_pipeline () =
   install "A" a;
   install "B" b;
   install "C" c;
-  let r =
-    Sw_arch.Interp.run ~config ~functional:true ~mem
-      compiled.Sw_core.Compile.program
-  in
-  Alcotest.(check int) "no races" 0 (List.length r.Sw_arch.Interp.races);
+  (match
+     Sw_arch.Interp.run ~config ~functional:true ~mem
+       compiled.Sw_core.Compile.program
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "no races: %s" (Sw_arch.Error.to_string e));
   let data = Sw_arch.Mem.data mem "C" in
   let c_pipeline = Matrix.init ~rows:16 ~cols:16 ~f:(fun i j -> data.((i * 16) + j)) in
   Helpers.check_close "direct = pipeline" 0.0
