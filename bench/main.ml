@@ -794,18 +794,8 @@ let service () =
   Printf.printf "served %d, errored %d, shed %d, connections %d\n"
     s.Sw_host.Server.served s.Sw_host.Server.errored s.Sw_host.Server.shed
     s.Sw_host.Server.connections;
-  csv "service"
-    [ "client"; "requests"; "errors"; "mean_ms"; "max_ms" ]
-    (List.map
-       (fun row ->
-         [
-           string_of_int row.Sw_cli.Loadgen.client;
-           string_of_int row.Sw_cli.Loadgen.requests;
-           string_of_int row.Sw_cli.Loadgen.errors;
-           Printf.sprintf "%.3f" (1000.0 *. row.Sw_cli.Loadgen.mean_s);
-           Printf.sprintf "%.3f" (1000.0 *. row.Sw_cli.Loadgen.max_s);
-         ])
-       r.Sw_cli.Loadgen.rows)
+  csv "service" Sw_cli.Loadgen.columns
+    (List.map Sw_cli.Loadgen.row_cells r.Sw_cli.Loadgen.rows)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-cluster scaling (the MPI level of §2.1/§10)                    *)
@@ -1090,53 +1080,92 @@ let check ~baseline_dir ~compare_only ~write =
           (List.length failures);
         exit 1
 
+(* Flags are checked before any series runs: an unknown flag or
+   experiment, a missing value, or a check-only flag without `check` is a
+   usage error. *)
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let jobs = ref (Sw_host.Pool.default_jobs ()) in
-  let compare_only = ref false in
-  let write = ref false in
-  let baseline_dir = ref (Filename.concat "bench" "baselines") in
-  let rec strip = function
-    | [] -> []
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some j when j >= 1 -> jobs := j
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            exit 1);
-        strip rest
-    | "--compare-only" :: rest ->
-        compare_only := true;
-        strip rest
-    | "--write" :: rest ->
-        write := true;
-        strip rest
-    | "--baselines" :: dir :: rest ->
-        baseline_dir := dir;
-        strip rest
-    | a :: rest -> a :: strip rest
+  let open Cmdliner in
+  let experiments_arg =
+    let names = "check" :: List.map fst all_series in
+    let doc =
+      Printf.sprintf
+        "Experiments to run, in order (default: every series): %s. \
+         $(b,check) runs alone."
+        (String.concat ", " names)
+    in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+      & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let args = strip args in
-  let names = List.filter (fun a -> a <> "--metrics") args in
-  if List.mem "--metrics" args then begin
-    let r = Sw_obs.Metrics.create () in
-    Sw_obs.Metrics.install r;
-    metrics_registry := Some r
-  end;
-  Sw_host.Pool.with_pool ~jobs:!jobs @@ fun p ->
-  pool := Some p;
-  match names with
-  | [ "check" ] ->
-      check ~baseline_dir:!baseline_dir ~compare_only:!compare_only
-        ~write:!write
-  | [] -> List.iter (fun (n, f) -> run_series n f) all_series
-  | names ->
-      List.iter
-        (fun n ->
-          match List.assoc_opt n all_series with
-          | Some f -> run_series n f
-          | None ->
-              Printf.eprintf "unknown experiment %s (have: check, %s)\n" n
-                (String.concat ", " (List.map fst all_series));
-              exit 1)
-        names
+  let metrics_arg =
+    let doc =
+      "Record a metrics registry while each series runs and write its \
+       per-series delta into the BENCH json."
+    in
+    Arg.(value & flag & info [ "metrics" ] ~doc)
+  in
+  let compare_only_arg =
+    let doc =
+      "With $(b,check): compare the existing results/BENCH_*.json without \
+       re-running the series."
+    in
+    Arg.(value & flag & info [ "compare-only" ] ~doc)
+  in
+  let write_arg =
+    let doc = "With $(b,check): re-pin the baselines from fresh results." in
+    Arg.(value & flag & info [ "write" ] ~doc)
+  in
+  let baselines_arg =
+    let doc =
+      "With $(b,check): the baseline directory (default bench/baselines)."
+    in
+    Arg.(value & opt (some string) None & info [ "baselines" ] ~docv:"DIR" ~doc)
+  in
+  let run names jobs metrics compare_only write baselines =
+    let check_only =
+      List.find_opt snd
+        [
+          ("--compare-only", compare_only);
+          ("--write", write);
+          ("--baselines", Option.is_some baselines);
+        ]
+    in
+    match (names, check_only) with
+    | _ :: _ :: _, _ when List.mem "check" names ->
+        Error (`Msg "check runs alone, not with other experiments")
+    | names, Some (flag, _) when names <> [ "check" ] ->
+        Error (`Msg (flag ^ " is only valid with check"))
+    | names, _ ->
+        if metrics then begin
+          let r = Sw_obs.Metrics.create () in
+          Sw_obs.Metrics.install r;
+          metrics_registry := Some r
+        end;
+        Sw_host.Pool.with_pool ~jobs @@ fun p ->
+        pool := Some p;
+        (match names with
+        | [ "check" ] ->
+            let baseline_dir =
+              Option.value baselines
+                ~default:(Filename.concat "bench" "baselines")
+            in
+            check ~baseline_dir ~compare_only ~write
+        | [] -> List.iter (fun (n, f) -> run_series n f) all_series
+        | names ->
+            List.iter (fun n -> run_series n (List.assoc n all_series)) names);
+        Ok ()
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "bench"
+         ~doc:
+           "Regenerate the paper's tables and figures on the simulated \
+            SW26010Pro, or check the sentinel series against their \
+            baselines")
+      Term.(
+        term_result ~usage:true
+          (const run $ experiments_arg $ Sw_cli.Common_flags.jobs_arg
+         $ metrics_arg $ compare_only_arg $ write_arg $ baselines_arg))
+  in
+  exit (Cmd.eval cmd)

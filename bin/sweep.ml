@@ -30,50 +30,7 @@ type trial = {
   options : Options.t;
 }
 
-let () =
-  let argv = Sys.argv in
-  let metrics = Array.exists (String.equal "--metrics") argv in
-  (* Argument values are validated at parse time: a non-numeric or
-     out-of-range count aborts with a usage message instead of a crash
-     (or a wedged pool) after the sweep has started. *)
-  let int_arg ?(min = 1) name default =
-    let r = ref default in
-    Array.iteri
-      (fun i a ->
-        if String.equal a name && i + 1 < Array.length argv then
-          match int_of_string_opt argv.(i + 1) with
-          | Some v when v >= min -> r := v
-          | _ ->
-              Printf.eprintf
-                "sweep: %s: '%s' is not an integer >= %d\n" name
-                argv.(i + 1) min;
-              exit 2)
-      argv;
-    !r
-  in
-  let str_arg name =
-    let r = ref None in
-    Array.iteri
-      (fun i a ->
-        if String.equal a name && i + 1 < Array.length argv then
-          r := Some argv.(i + 1))
-      argv;
-    !r
-  in
-  let jobs = int_arg "--jobs" (Sw_host.Pool.default_jobs ()) in
-  let trials = int_arg "--trials" 250 in
-  let json_path = str_arg "--json" in
-  let arch_override =
-    match str_arg "--arch" with
-    | None -> None
-    | Some name -> (
-        match Arch_desc.config_of_name name with
-        | Some c -> Some c
-        | None ->
-            Printf.eprintf "sweep: unknown --arch '%s' (known: %s)\n" name
-              (String.concat ", " (Arch_desc.names ()));
-            exit 2)
-  in
+let run trials jobs json_path arch_override metrics =
   let registry =
     if metrics then begin
       let r = Sw_obs.Metrics.create () in
@@ -243,4 +200,57 @@ let () =
       in
       Sw_obs.Json.write_file ~pretty:true ~path j
   | None -> ());
-  exit (if failures = 0 then 0 else 1)
+  if failures = 0 then 0 else 1
+
+(* Flags are checked before any trial runs: an unknown flag, a missing
+   value or a bad count is a usage error. *)
+let () =
+  let open Cmdliner in
+  let trials_arg =
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "'%s' is not an integer >= 1" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    let doc = "Number of randomized trials." in
+    Arg.(value & opt positive 250 & info [ "trials" ] ~docv:"N" ~doc)
+  in
+  let json_arg =
+    let doc = "Also write every trial's outcome as JSON to $(docv)." in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  in
+  (* --arch pins every trial to one preset; without it each trial draws
+     its own tiny mesh *)
+  let arch_term =
+    let resolve = function
+      | None -> Ok None
+      | Some _ as arch ->
+          Result.map Option.some
+            (Sw_cli.Common_flags.resolve_config ~tiny:false ~arch
+               ~arch_file:None)
+    in
+    Term.(term_result (const resolve $ Sw_cli.Common_flags.arch_arg))
+  in
+  let metrics_arg =
+    let doc =
+      "Install a metrics registry and compile through one shared plan \
+       cache: each trial reports its cache traffic and exposed reply-wait \
+       latency, and the run ends with the cache statistics and the full \
+       snapshot."
+    in
+    Arg.(value & flag & info [ "metrics" ] ~doc)
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "sweep"
+         ~doc:
+           "Randomized end-to-end sweep: generate, simulate functionally \
+            and check every trial against the reference")
+      Term.(
+        const run $ trials_arg $ Sw_cli.Common_flags.jobs_arg $ json_arg
+        $ arch_term $ metrics_arg)
+  in
+  exit (Cmd.eval' cmd)

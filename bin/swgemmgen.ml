@@ -11,8 +11,16 @@ open Sw_arch
 open Sw_cli
 
 (* ------------------------------------------------------------------ *)
-(* Shared arguments                                                     *)
+(* The problem, parsed once                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Every subcommand that compiles reads the same problem description: a
+   spec (a C file, or a shape and its modifiers), the --no-* option flags,
+   a machine model and optionally a durable store. Each is one term that
+   is resolved while the command line is parsed, so a subcommand's run
+   receives a Spec.t, an Options.t and a Config.t, and a bad problem is
+   reported before any work starts. Terms are applied left to right and
+   the first error wins, which fixes the order errors are reported in. *)
 
 let shape_arg =
   let doc = "Problem shape M,N,K (e.g. --shape 4096,4096,4096)." in
@@ -61,229 +69,230 @@ let tb_arg =
   let doc = "Use op(B) = B^T (B stored N x K)." in
   Arg.(value & flag & info [ "tb" ] ~doc)
 
-let tiny_arg = Common_flags.tiny_arg
+let spec_of_shape ~missing shape batch fusion ta tb =
+  match shape with
+  | None -> Error (`Msg missing)
+  | Some (m, n, k) -> (
+      match
+        Option.fold ~none:(Ok Spec.No_fusion) ~some:Spec.fusion_of_string
+          fusion
+      with
+      | Error e -> Error (`Msg e)
+      | Ok fusion -> (
+          try Ok (Spec.make ?batch ~ta ~tb ~fusion ~m ~n ~k ())
+          with Invalid_argument e -> Error (`Msg e)))
 
-let arch_arg = Common_flags.arch_arg
+let no_problem = "give a C file or --shape M,N,K"
 
-let arch_file_arg = Common_flags.arch_file_arg
+(* The shape spec: --shape, --batch, --fusion, --ta, --tb. [missing] is
+   the error when --shape is absent. *)
+let shape_spec_term ~missing =
+  Term.(
+    term_result
+      (const (spec_of_shape ~missing)
+      $ shape_arg $ batch_arg $ fusion_arg $ ta_arg $ tb_arg))
+
+(* The full spec: a C file (with --bind/--fbind) or the shape spec. *)
+let spec_term =
+  let resolve input shape batch fusion ta tb binds fbinds =
+    match (input, shape) with
+    | Some _, Some _ -> Error (`Msg "give either a C file or --shape, not both")
+    | None, _ -> spec_of_shape ~missing:no_problem shape batch fusion ta tb
+    | Some file, None ->
+        In_channel.with_open_text file In_channel.input_all
+        |> Sw_frontend.Extract.spec_of_source ~bindings:binds ~fbindings:fbinds
+        |> Result.map_error (fun e -> `Msg ("front-end: " ^ e))
+  in
+  Term.(
+    term_result
+      (const resolve $ input_arg $ shape_arg $ batch_arg $ fusion_arg $ ta_arg
+     $ tb_arg $ bind_arg $ fbind_arg))
+
+let options_term =
+  let make no_asm no_rma no_hiding =
+    {
+      Options.use_asm = not no_asm;
+      use_rma = not no_rma;
+      hiding = (not no_hiding) && not no_rma;
+    }
+  in
+  Term.(const make $ no_asm_arg $ no_rma_arg $ no_hiding_arg)
+
+let machine_term =
+  let resolve tiny arch arch_file =
+    Common_flags.resolve_config ~tiny ~arch ~arch_file
+  in
+  Term.(
+    term_result
+      (const resolve $ Common_flags.tiny_arg $ Common_flags.arch_arg
+     $ Common_flags.arch_file_arg))
+
+(* The store paired with its directory, for messages that name it. *)
+let store_term =
+  let open_ = function
+    | None -> Ok None
+    | Some dir ->
+        Result.map (fun st -> Some (dir, st)) (Common_flags.open_store dir)
+  in
+  Term.(term_result (const open_ $ Common_flags.store_arg))
+
+(* One cacheless compilation, its typed error turned into a CLI error. *)
+let compile_once ?store ?deadline ~options ~config spec =
+  Compile.run
+    (Session.create ~no_cache:true ~options ?store ?deadline ~arch:config ())
+    spec
+  |> Result.map_error (fun e -> `Msg (Error.to_string e))
+
+(* Compile and measure on the timing path: the step perf and breakdown
+   share. *)
+let measure ~options ~config spec =
+  Result.bind (compile_once ~options ~config spec) (fun compiled ->
+      match Runner.measure compiled with
+      | p -> Ok (compiled, p)
+      | exception Runner.Runner_error e ->
+          Error (`Msg (Runner.error_to_string e)))
 
 let emit_arg =
   let doc = "Directory to write the generated MPE/CPE C files into." in
   Arg.(value & opt (some string) None & info [ "emit" ] ~doc)
-
-let dump_tree_arg =
-  let doc = "Print the final schedule tree." in
-  Arg.(value & flag & info [ "dump-tree" ] ~doc)
-
-let dump_ast_arg =
-  let doc = "Print the generated AST." in
-  Arg.(value & flag & info [ "dump-ast" ] ~doc)
-
-let passes_arg =
-  let doc =
-    "Comma-separated pass names to enable (see $(b,--pass-stats) for the \
-     pipeline). Required passes always run; listing them is harmless. \
-     Subsumes $(b,--no-rma)/$(b,--no-hiding): with $(b,--passes) the \
-     optional passes are exactly those listed."
-  in
-  Arg.(
-    value
-    & opt (some (list string)) None
-    & info [ "passes" ] ~docv:"PASS,..." ~doc)
-
-let dump_after_arg =
-  let doc = "Print the schedule tree after the named pass (repeatable)." in
-  Arg.(value & opt_all string [] & info [ "dump-after" ] ~docv:"PASS" ~doc)
-
-let no_cache_arg = Common_flags.no_cache_arg
-
-let pass_stats_arg =
-  let doc = "Print the per-pass wall-clock and tree-size statistics." in
-  Arg.(value & flag & info [ "pass-stats" ] ~doc)
-
-let jobs_arg = Common_flags.jobs_arg
-
-let store_arg = Common_flags.store_arg
-
-let deadline_arg = Common_flags.deadline_arg
-
-let open_store = Common_flags.open_store
-
-let metrics_arg = Common_flags.metrics_arg
-
-let with_metrics = Common_flags.with_metrics
-
-let log_level_arg = Common_flags.log_level_arg
-
-let log_file_arg = Common_flags.log_file_arg
-
-let with_logging = Common_flags.with_logging
-
-let parse_fusion = function
-  | None -> Ok Spec.No_fusion
-  | Some s -> (
-      match String.split_on_char ':' s with
-      | [ "prologue"; fn ] -> Ok (Spec.Prologue fn)
-      | [ "epilogue"; fn ] -> Ok (Spec.Epilogue fn)
-      | _ -> Error (`Msg "fusion must be prologue:<fn> or epilogue:<fn>"))
-
-let build_spec ~input ~shape ~batch ~fusion ~binds ~fbinds ~ta ~tb =
-  match (input, shape) with
-  | Some file, None -> (
-      let src = In_channel.with_open_text file In_channel.input_all in
-      match
-        Sw_frontend.Extract.spec_of_source ~bindings:binds ~fbindings:fbinds src
-      with
-      | Ok spec -> Ok spec
-      | Error e -> Error (`Msg ("front-end: " ^ e)))
-  | None, Some (m, n, k) -> (
-      match parse_fusion fusion with
-      | Error e -> Error e
-      | Ok fusion -> (
-          try Ok (Spec.make ?batch ~ta ~tb ~fusion ~m ~n ~k ())
-          with Invalid_argument e -> Error (`Msg e)))
-  | Some _, Some _ -> Error (`Msg "give either a C file or --shape, not both")
-  | None, None -> Error (`Msg "give a C file or --shape M,N,K")
-
-let build_options ~no_asm ~no_rma ~no_hiding =
-  {
-    Options.use_asm = not no_asm;
-    use_rma = not no_rma;
-    hiding = (not no_hiding) && not no_rma;
-  }
-
-let resolve_config = Common_flags.resolve_config
-
-(* --passes LIST: translate an explicit enabled-pass subset into the option
-   record the pipeline's relevance predicates read. Contradictory subsets
-   (pipeline_hiding without rma_broadcast) are rejected by
-   Options.validate inside Compile. *)
-let options_of_passes ~no_asm names =
-  let known = Pass_registry.names in
-  match List.find_opt (fun n -> not (List.mem n known)) names with
-  | Some n ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown pass '%s' (pipeline: %s)" n
-             (String.concat ", " known)))
-  | None ->
-      let mem n = List.mem n names in
-      if mem "strip_mine" <> mem "rma_broadcast" then
-        Error (`Msg "strip_mine and rma_broadcast must be enabled together")
-      else
-        Ok
-          ( {
-              Options.use_asm = not no_asm;
-              use_rma = mem "rma_broadcast";
-              hiding = mem "pipeline_hiding";
-            },
-            mem "fusion" )
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let compile_cmd =
-  let run input shape batch fusion binds fbinds ta tb no_asm no_rma no_hiding
-      tiny arch arch_file emit dump_tree dump_ast passes dump_after no_cache
-      pass_stats store_dir deadline_s log_level log_file =
-    with_logging ?level:log_level ?file:log_file @@ fun () ->
+  let dump_tree_arg =
+    let doc = "Print the final schedule tree." in
+    Arg.(value & flag & info [ "dump-tree" ] ~doc)
+  in
+  let dump_ast_arg =
+    let doc = "Print the generated AST." in
+    Arg.(value & flag & info [ "dump-ast" ] ~doc)
+  in
+  let passes_arg =
+    let doc =
+      "Comma-separated pass names to enable (see $(b,--pass-stats) for the \
+       pipeline). Required passes always run; listing them is harmless. \
+       Subsumes $(b,--no-rma)/$(b,--no-hiding): with $(b,--passes) the \
+       optional passes are exactly those listed."
+    in
+    Arg.(
+      value
+      & opt (some (list string)) None
+      & info [ "passes" ] ~docv:"PASS,..." ~doc)
+  in
+  let dump_after_arg =
+    let doc = "Print the schedule tree after the named pass (repeatable)." in
+    Arg.(value & opt_all string [] & info [ "dump-after" ] ~docv:"PASS" ~doc)
+  in
+  let pass_stats_arg =
+    let doc = "Print the per-pass wall-clock and tree-size statistics." in
+    Arg.(value & flag & info [ "pass-stats" ] ~doc)
+  in
+  let pipeline = String.concat ", " Pass_registry.names in
+  (* --passes LIST: translate an explicit enabled-pass subset into the
+     option record the pipeline's relevance predicates read, paired with
+     whether the fusion pass stays on. Contradictory subsets
+     (pipeline_hiding without rma_broadcast) are rejected by
+     Options.validate inside Compile. *)
+  let pipeline_term =
+    let resolve (options : Options.t) = function
+      | None -> Ok (options, true)
+      | Some names -> (
+          let mem n = List.mem n names in
+          match
+            List.find_opt (fun n -> not (List.mem n Pass_registry.names)) names
+          with
+          | Some n ->
+              Error
+                (`Msg
+                  (Printf.sprintf "unknown pass '%s' (pipeline: %s)" n
+                     pipeline))
+          | None when mem "strip_mine" <> mem "rma_broadcast" ->
+              Error
+                (`Msg "strip_mine and rma_broadcast must be enabled together")
+          | None ->
+              Ok
+                ( {
+                    options with
+                    Options.use_rma = mem "rma_broadcast";
+                    hiding = mem "pipeline_hiding";
+                  },
+                  mem "fusion" ))
+    in
+    Term.(term_result (const resolve $ options_term $ passes_arg))
+  in
+  let dump_after_term =
+    let check names =
+      match
+        List.find_opt (fun n -> not (List.mem n Pass_registry.names)) names
+      with
+      | Some n ->
+          Error
+            (`Msg
+              (Printf.sprintf "--dump-after: unknown pass '%s' (pipeline: %s)"
+                 n pipeline))
+      | None -> Ok names
+    in
+    Term.(term_result (const check $ dump_after_arg))
+  in
+  let run spec config (options, keep_fusion) dump_after store emit dump_tree
+      dump_ast no_cache pass_stats deadline log_level log_file =
+    Common_flags.with_logging ?level:log_level ?file:log_file @@ fun () ->
+    let spec =
+      if keep_fusion then spec else { spec with Spec.fusion = Spec.No_fusion }
+    in
+    let observer (p : Pass.t) (st : Pass.state) =
+      if List.mem p.Pass.name dump_after then (
+        Printf.printf "=== after pass %s ===\n" p.Pass.name;
+        match st.Pass.tree with
+        | Some t -> print_string (Sw_tree.Tree.to_string t)
+        | None -> print_endline "(no schedule tree yet)")
+    in
+    let session =
+      Session.create ~options ~debug:true ~no_cache ~observer
+        ?store:(Option.map snd store) ?deadline ~arch:config ()
+    in
+    (match (store, session.Session.cache) with
+    | Some (dir, _), Some _ ->
+        let n = Session.warm_start session in
+        if n > 0 then Printf.printf "warm start: %d plan(s) from %s\n" n dir
+    | _ -> ());
     match
-      ( build_spec ~input ~shape ~batch ~fusion ~binds ~fbinds ~ta ~tb,
-        resolve_config ~tiny ~arch ~arch_file )
+      Compile.generation_seconds (fun () -> Compile.run_exn session spec)
     with
-    | Error e, _ -> Error e
-    | _, Error e -> Error e
-    | Ok spec, Ok config -> (
-        let options_and_spec =
-          match passes with
-          | None -> Ok (build_options ~no_asm ~no_rma ~no_hiding, spec)
-          | Some names -> (
-              match options_of_passes ~no_asm names with
-              | Error e -> Error e
-              | Ok (options, keep_fusion) ->
-                  let spec =
-                    if keep_fusion then spec
-                    else { spec with Spec.fusion = Spec.No_fusion }
-                  in
-                  Ok (options, spec))
-        in
-        let bad_dump =
-          List.find_opt
-            (fun n -> not (List.mem n Pass_registry.names))
-            dump_after
-        in
-        match (options_and_spec, bad_dump) with
-        | Error e, _ -> Error e
-        | Ok _, Some n ->
-            Error
-              (`Msg
-                (Printf.sprintf "--dump-after: unknown pass '%s' (pipeline: %s)"
-                   n
-                   (String.concat ", " Pass_registry.names)))
-        | Ok (options, spec), None -> (
-            let observer (p : Pass.t) (st : Pass.state) =
-              if List.mem p.Pass.name dump_after then (
-                Printf.printf "=== after pass %s ===\n" p.Pass.name;
-                match st.Pass.tree with
-                | Some t -> print_string (Sw_tree.Tree.to_string t)
-                | None -> print_endline "(no schedule tree yet)")
-            in
-            let store =
-              match store_dir with
-              | None -> Ok None
-              | Some dir -> Result.map Option.some (open_store dir)
-            in
-            match store with
-            | Error e -> Error e
-            | Ok store -> (
-            let session =
-              Session.create ~options ~debug:true ~no_cache ~observer ?store
-                ?deadline:deadline_s ~arch:config ()
-            in
-            (match (store_dir, session.Session.cache) with
-            | Some dir, Some _ ->
-                let n = Session.warm_start session in
-                if n > 0 then
-                  Printf.printf "warm start: %d plan(s) from %s\n" n dir
-            | _ -> ());
-            match
-              Compile.generation_seconds (fun () -> Compile.run_exn session spec)
-            with
-            | exception Error.Sim_error e -> Error (`Msg (Error.to_string e))
-            | compiled, secs ->
-                Printf.printf "compiled %s [%s] in %.3f ms\n"
-                  (Spec.to_string compiled.Compile.spec)
-                  (Options.name options) (1000.0 *. secs);
-                Printf.printf "  %s\n" (Tile_model.to_string compiled.Compile.tiles);
-                Printf.printf "  SPM bytes per CPE: %d of %d\n"
-                  (Sw_ast.Ast.spm_bytes compiled.Compile.program)
-                  config.Config.spm_bytes;
-                if pass_stats then (
-                  print_string (Pass.report compiled.Compile.pass_stats);
-                  Printf.printf "  pipeline total: %.1f us\n"
-                    (1e6 *. Pass.total_seconds compiled.Compile.pass_stats));
-                if dump_tree then
-                  print_string (Sw_tree.Tree.to_string compiled.Compile.tree);
-                if dump_ast then
-                  print_string
-                    (Sw_ast.Ast.to_string compiled.Compile.program.Sw_ast.Ast.body);
-                (match emit with
-                | Some dir ->
-                    let mpe, cpe = Cemit.write_files compiled ~dir in
-                    Printf.printf "  wrote %s and %s\n" mpe cpe
-                | None -> ());
-                Ok ())))
+    | exception Error.Sim_error e -> Error (`Msg (Error.to_string e))
+    | compiled, secs ->
+        Printf.printf "compiled %s [%s] in %.3f ms\n"
+          (Spec.to_string compiled.Compile.spec)
+          (Options.name options) (1000.0 *. secs);
+        Printf.printf "  %s\n" (Tile_model.to_string compiled.Compile.tiles);
+        Printf.printf "  SPM bytes per CPE: %d of %d\n"
+          (Sw_ast.Ast.spm_bytes compiled.Compile.program)
+          config.Config.spm_bytes;
+        if pass_stats then (
+          print_string (Pass.report compiled.Compile.pass_stats);
+          Printf.printf "  pipeline total: %.1f us\n"
+            (1e6 *. Pass.total_seconds compiled.Compile.pass_stats));
+        if dump_tree then
+          print_string (Sw_tree.Tree.to_string compiled.Compile.tree);
+        if dump_ast then
+          print_string
+            (Sw_ast.Ast.to_string compiled.Compile.program.Sw_ast.Ast.body);
+        (match emit with
+        | Some dir ->
+            let mpe, cpe = Cemit.write_files compiled ~dir in
+            Printf.printf "  wrote %s and %s\n" mpe cpe
+        | None -> ());
+        Ok ()
   in
   let term =
     Term.(
       term_result
-        (const run $ input_arg $ shape_arg $ batch_arg $ fusion_arg $ bind_arg
-       $ fbind_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg $ no_hiding_arg
-       $ tiny_arg $ arch_arg $ arch_file_arg $ emit_arg $ dump_tree_arg
-       $ dump_ast_arg $ passes_arg $ dump_after_arg $ no_cache_arg
-       $ pass_stats_arg $ store_arg $ deadline_arg $ log_level_arg
-       $ log_file_arg))
+        (const run $ spec_term $ machine_term $ pipeline_term $ dump_after_term
+       $ store_term $ emit_arg $ dump_tree_arg $ dump_ast_arg
+       $ Common_flags.no_cache_arg $ pass_stats_arg $ Common_flags.deadline_arg
+       $ Common_flags.log_level_arg $ Common_flags.log_file_arg))
   in
   Cmd.v (Cmd.info "compile" ~doc:"Generate athread code for a GEMM problem") term
 
@@ -310,36 +319,30 @@ let inject_faults_arg =
 let parse_inject = function
   | None -> Ok None
   | Some s -> (
-      let bad_seed = `Msg "--inject-faults: SEED must be an integer" in
-      let parse_seeds seeds =
-        let rec collect acc = function
+      (* a comma list, converted left to right; the first bad item is the
+         error *)
+      let collect conv error items =
+        let rec go acc = function
           | [] -> Ok (List.rev acc)
-          | n :: rest -> (
-              match int_of_string_opt n with
-              | Some seed -> collect (seed :: acc) rest
-              | None -> Error bad_seed)
+          | item :: rest -> (
+              match conv item with
+              | Some v -> go (v :: acc) rest
+              | None -> Error (`Msg (error item)))
         in
-        collect [] (String.split_on_char ',' seeds)
+        go [] (String.split_on_char ',' items)
       in
-      let parse_kinds kinds =
-        let rec collect acc = function
-          | [] -> Ok (List.rev acc)
-          | n :: rest -> (
-              match Fault.kind_of_string n with
-              | Some k -> collect (k :: acc) rest
-              | None ->
-                  Error
-                    (`Msg
-                      (Printf.sprintf
-                         "--inject-faults: unknown fault kind '%s'" n)))
-        in
-        collect [] (String.split_on_char ',' kinds)
+      let seeds =
+        collect int_of_string_opt (fun _ ->
+            "--inject-faults: SEED must be an integer")
+      and kinds =
+        collect Fault.kind_of_string
+          (Printf.sprintf "--inject-faults: unknown fault kind '%s'")
       in
       match String.split_on_char ':' s with
-      | [ seeds ] -> Result.map (fun ss -> Some (ss, None)) (parse_seeds seeds)
-      | [ seeds; kinds ] ->
-          Result.bind (parse_seeds seeds) (fun ss ->
-              Result.map (fun ks -> Some (ss, Some ks)) (parse_kinds kinds))
+      | [ ss ] -> Result.map (fun ss -> Some (ss, None)) (seeds ss)
+      | [ ss; ks ] ->
+          Result.bind (seeds ss) (fun ss ->
+              Result.map (fun ks -> Some (ss, Some ks)) (kinds ks))
       | _ ->
           Error
             (`Msg "--inject-faults: expected SEED[,SEED..] or SEEDS:kind,kind"))
@@ -351,31 +354,20 @@ let fault_plan_for ~kinds seed =
       Fault.plan ~spec:(Fault.spec_with ~kinds:ks Fault.default_spec) ~seed ()
 
 let verify_cmd =
-  let run input shape batch fusion binds fbinds ta tb no_asm no_rma no_hiding
-      tiny arch arch_file inject jobs metrics store_dir deadline_s log_level
+  let inject_term =
+    Term.(term_result (const parse_inject $ inject_faults_arg))
+  in
+  let run spec options config store inject jobs metrics deadline log_level
       log_file =
-    with_logging ?level:log_level ?file:log_file @@ fun () ->
-    with_metrics metrics @@ fun () ->
+    Common_flags.with_logging ?level:log_level ?file:log_file @@ fun () ->
+    Common_flags.with_metrics metrics @@ fun () ->
     match
-      ( build_spec ~input ~shape ~batch ~fusion ~binds ~fbinds ~ta ~tb,
-        resolve_config ~tiny ~arch ~arch_file,
-        match store_dir with
-        | None -> Ok None
-        | Some dir -> Result.map Option.some (open_store dir) )
+      compile_once ?store:(Option.map snd store) ?deadline ~options ~config spec
     with
-    | Error e, _, _ -> Error e
-    | _, Error e, _ -> Error e
-    | _, _, Error e -> Error e
-    | Ok spec, Ok config, Ok store -> (
-        let options = build_options ~no_asm ~no_rma ~no_hiding in
-        let session =
-          Session.create ~no_cache:true ~options ?store ?deadline:deadline_s
-            ~arch:config ()
-        in
-        match (Compile.run session spec, parse_inject inject) with
-        | Error e, _ -> Error (`Msg (Error.to_string e))
-        | _, (Error _ as e) -> e
-        | Ok compiled, Ok None -> (
+    | Error _ as e -> e
+    | Ok compiled -> (
+        match inject with
+        | None -> (
             match Runner.verify compiled with
             | Ok () ->
                 Printf.printf "verification PASSED for %s [%s]\n"
@@ -385,7 +377,7 @@ let verify_cmd =
             | Error e ->
                 Error
                   (`Msg ("verification FAILED: " ^ Runner.error_to_string e)))
-        | Ok compiled, Ok (Some (seeds, kinds)) -> (
+        | Some (seeds, kinds) -> (
             (* Each seed of the matrix is an independent job: fanned out
                over --jobs domains, its report buffered and printed in seed
                order, so the output is identical for every --jobs value.
@@ -434,11 +426,10 @@ let verify_cmd =
   let term =
     Term.(
       term_result
-        (const run $ input_arg $ shape_arg $ batch_arg $ fusion_arg $ bind_arg
-       $ fbind_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg $ no_hiding_arg
-       $ tiny_arg $ arch_arg $ arch_file_arg $ inject_faults_arg $ jobs_arg
-       $ metrics_arg $ store_arg $ deadline_arg $ log_level_arg
-       $ log_file_arg))
+        (const run $ spec_term $ options_term $ machine_term $ store_term
+       $ inject_term $ Common_flags.jobs_arg $ Common_flags.metrics_arg
+       $ Common_flags.deadline_arg $ Common_flags.log_level_arg
+       $ Common_flags.log_file_arg))
   in
   Cmd.v
     (Cmd.info "verify"
@@ -453,45 +444,27 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 
 let perf_cmd =
-  let run input shape batch fusion binds fbinds ta tb no_asm no_rma no_hiding
-      tiny arch arch_file =
-    match
-      ( build_spec ~input ~shape ~batch ~fusion ~binds ~fbinds ~ta ~tb,
-        resolve_config ~tiny ~arch ~arch_file )
-    with
-    | Error e, _ -> Error e
-    | _, Error e -> Error e
-    | Ok spec, Ok config -> (
-        let options = build_options ~no_asm ~no_rma ~no_hiding in
-        match Compile.run (Session.create ~no_cache:true ~options ~arch:config ()) spec with
-        | Error e -> Error (`Msg (Error.to_string e))
-        | Ok compiled ->
-            let p = Runner.measure compiled in
-            let x = Sw_xmath.Xmath.measure config compiled.Compile.spec in
-            Printf.printf "%s [%s]\n"
-              (Spec.to_string compiled.Compile.spec)
-              (Options.name options);
-            Printf.printf "  generated: %10.2f Gflops (%5.2f%% of peak)%s\n"
-              p.Runner.gflops
-              (100.0 *. p.Runner.gflops /. Config.peak_gflops config)
-              (if p.Runner.exact then "" else "  [extrapolated]");
-            Printf.printf "  xMath:     %10.2f Gflops (%5.2f%% of peak)\n"
-              x.Sw_xmath.Xmath.gflops
-              (100.0 *. x.Sw_xmath.Xmath.gflops /. Config.peak_gflops config);
-            Printf.printf "  speedup:   %10.2fx\n"
-              (p.Runner.gflops /. x.Sw_xmath.Xmath.gflops);
-            Ok ())
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ input_arg $ shape_arg $ batch_arg $ fusion_arg $ bind_arg
-       $ fbind_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg $ no_hiding_arg
-       $ tiny_arg $ arch_arg $ arch_file_arg))
+  let run spec options config =
+    Result.map
+      (fun (compiled, p) ->
+        let x = Sw_xmath.Xmath.measure config compiled.Compile.spec in
+        Printf.printf "%s [%s]\n"
+          (Spec.to_string compiled.Compile.spec)
+          (Options.name options);
+        Printf.printf "  generated: %10.2f Gflops (%5.2f%% of peak)%s\n"
+          p.Runner.gflops
+          (100.0 *. p.Runner.gflops /. Config.peak_gflops config)
+          (if p.Runner.exact then "" else "  [extrapolated]");
+        Printf.printf "  xMath:     %10.2f Gflops (%5.2f%% of peak)\n"
+          x.Sw_xmath.Xmath.gflops
+          (100.0 *. x.Sw_xmath.Xmath.gflops /. Config.peak_gflops config);
+        Printf.printf "  speedup:   %10.2fx\n"
+          (p.Runner.gflops /. x.Sw_xmath.Xmath.gflops))
+      (measure ~options ~config spec)
   in
   Cmd.v
     (Cmd.info "perf" ~doc:"Estimate performance and compare against xMath")
-    term
+    Term.(term_result (const run $ spec_term $ options_term $ machine_term))
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                              *)
@@ -516,107 +489,96 @@ let file_slug s =
     s
 
 let profile_cmd =
-  let run input shape batch fusion binds fbinds ta tb no_asm no_rma no_hiding
-      tiny arch arch_file out_dir =
-    match
-      ( build_spec ~input ~shape ~batch ~fusion ~binds ~fbinds ~ta ~tb,
-        resolve_config ~tiny ~arch ~arch_file )
-    with
-    | Error e, _ -> Error e
-    | _, Error e -> Error e
-    | Ok spec, Ok config -> (
-        let options = build_options ~no_asm ~no_rma ~no_hiding in
-        (* Everything below runs under a live registry and span sink: the
-           host side (passes, compile) lands on pid 1, the simulated
-           cluster (one track per CPE) on pid 0 of the same trace file. *)
-        let registry = Sw_obs.Metrics.create () in
-        Sw_obs.Metrics.install registry;
-        let sink = Sw_obs.Span.create () in
-        Sw_obs.Span.install sink;
-        Sw_obs.Span.set_process_name sink ~pid:Sw_obs.Span.host_pid
-          "generator (host time)";
-        Sw_obs.Span.set_thread_name sink ~pid:Sw_obs.Span.host_pid ~tid:0
-          "pipeline";
-        let finally () =
-          Sw_obs.Span.uninstall ();
-          Sw_obs.Metrics.uninstall ()
-        in
-        Fun.protect ~finally @@ fun () ->
-        match Compile.run (Session.create ~no_cache:true ~options ~arch:config ()) spec with
-        | Error e -> Error (`Msg (Error.to_string e))
-        | Ok compiled -> (
-            match
-              Sw_obs.Span.ambient ~cat:"sim" "simulate" (fun () ->
-                  Runner.traced compiled)
-            with
-            | exception Runner.Runner_error e ->
-                Error (`Msg (Runner.error_to_string e))
-            | trace, perf ->
-                let mesh = (config.Config.mesh_rows, config.Config.mesh_cols) in
-                let util = Trace.utilization trace ~mesh in
-                let prof = Obs_bridge.profile trace in
-                let roofline =
-                  Sw_obs.Profile.roofline
-                    ~flops:(float_of_int (Compile.flops compiled))
-                    ~bytes:(float_of_int util.Trace.dma_bytes)
-                    ~seconds:perf.Runner.seconds
-                    ~peak_gflops:(Config.peak_gflops config)
-                    ~bw_gbytes_per_s:(config.Config.mem_bw_bytes_per_s /. 1e9)
-                in
-                Obs_bridge.to_chrome trace ~mesh sink;
-                let slug = file_slug (Spec.to_string compiled.Compile.spec) in
-                let report_path =
-                  Filename.concat out_dir (Printf.sprintf "profile-%s.json" slug)
-                in
-                let trace_path =
-                  Filename.concat out_dir
-                    (Printf.sprintf "profile-%s.trace.json" slug)
-                in
-                let report =
-                  Sw_obs.Json.Obj
-                    [
-                      ("spec", String (Spec.to_string compiled.Compile.spec));
-                      ("options", String (Options.name options));
-                      ("gflops", Float perf.Runner.gflops);
-                      ("seconds", Float perf.Runner.seconds);
-                      ("exact", Bool perf.Runner.exact);
-                      ("dma_bytes", Int util.Trace.dma_bytes);
-                      ("rma_bytes", Int util.Trace.rma_bytes);
-                      ("profile", Sw_obs.Profile.to_json prof);
-                      ("roofline", Sw_obs.Profile.roofline_to_json roofline);
-                      ( "metrics",
-                        Sw_obs.Metrics.to_json
-                          (Sw_obs.Metrics.snapshot registry) );
-                    ]
-                in
-                Sw_obs.Json.write_file ~pretty:true ~path:report_path report;
-                Sw_obs.Json.write_file ~path:trace_path
-                  (Sw_obs.Span.to_chrome sink);
-                Printf.printf "profile of %s [%s]\n"
-                  (Spec.to_string compiled.Compile.spec)
-                  (Options.name options);
-                Printf.printf "  %10.2f Gflops (%5.2f%% of peak)%s\n"
-                  perf.Runner.gflops
-                  (100.0 *. perf.Runner.gflops /. Config.peak_gflops config)
-                  (if perf.Runner.exact then "" else "  [extrapolated]");
-                print_string (Sw_obs.Profile.to_text prof);
-                Printf.printf
-                  "  roofline: AI %.2f flop/B vs ridge %.2f -> %s (attainable \
-                   %.2f Gflops)\n"
-                  roofline.Sw_obs.Profile.ai roofline.Sw_obs.Profile.ridge
-                  (Sw_obs.Profile.verdict_to_string
-                     roofline.Sw_obs.Profile.verdict)
-                  roofline.Sw_obs.Profile.attainable_gflops;
-                Printf.printf "  [wrote %s]\n  [wrote %s]\n" report_path
-                  trace_path;
-                Ok ()))
+  let run spec options config out_dir =
+    (* Everything below runs under a live registry and span sink: the
+       host side (passes, compile) lands on pid 1, the simulated
+       cluster (one track per CPE) on pid 0 of the same trace file. *)
+    let registry = Sw_obs.Metrics.create () in
+    Sw_obs.Metrics.install registry;
+    let sink = Sw_obs.Span.create () in
+    Sw_obs.Span.install sink;
+    Sw_obs.Span.set_process_name sink ~pid:Sw_obs.Span.host_pid
+      "generator (host time)";
+    Sw_obs.Span.set_thread_name sink ~pid:Sw_obs.Span.host_pid ~tid:0
+      "pipeline";
+    let finally () =
+      Sw_obs.Span.uninstall ();
+      Sw_obs.Metrics.uninstall ()
+    in
+    Fun.protect ~finally @@ fun () ->
+    match compile_once ~options ~config spec with
+    | Error _ as e -> e
+    | Ok compiled -> (
+        match
+          Sw_obs.Span.ambient ~cat:"sim" "simulate" (fun () ->
+              Runner.traced compiled)
+        with
+        | exception Runner.Runner_error e ->
+            Error (`Msg (Runner.error_to_string e))
+        | trace, perf ->
+            let mesh = (config.Config.mesh_rows, config.Config.mesh_cols) in
+            let util = Trace.utilization trace ~mesh in
+            let prof = Obs_bridge.profile trace in
+            let roofline =
+              Sw_obs.Profile.roofline
+                ~flops:(float_of_int (Compile.flops compiled))
+                ~bytes:(float_of_int util.Trace.dma_bytes)
+                ~seconds:perf.Runner.seconds
+                ~peak_gflops:(Config.peak_gflops config)
+                ~bw_gbytes_per_s:(config.Config.mem_bw_bytes_per_s /. 1e9)
+            in
+            Obs_bridge.to_chrome trace ~mesh sink;
+            let slug = file_slug (Spec.to_string compiled.Compile.spec) in
+            let report_path =
+              Filename.concat out_dir (Printf.sprintf "profile-%s.json" slug)
+            in
+            let trace_path =
+              Filename.concat out_dir
+                (Printf.sprintf "profile-%s.trace.json" slug)
+            in
+            let report =
+              Sw_obs.Json.Obj
+                [
+                  ("spec", String (Spec.to_string compiled.Compile.spec));
+                  ("options", String (Options.name options));
+                  ("gflops", Float perf.Runner.gflops);
+                  ("seconds", Float perf.Runner.seconds);
+                  ("exact", Bool perf.Runner.exact);
+                  ("dma_bytes", Int util.Trace.dma_bytes);
+                  ("rma_bytes", Int util.Trace.rma_bytes);
+                  ("profile", Sw_obs.Profile.to_json prof);
+                  ("roofline", Sw_obs.Profile.roofline_to_json roofline);
+                  ( "metrics",
+                    Sw_obs.Metrics.to_json
+                      (Sw_obs.Metrics.snapshot registry) );
+                ]
+            in
+            Sw_obs.Json.write_file ~pretty:true ~path:report_path report;
+            Sw_obs.Json.write_file ~path:trace_path
+              (Sw_obs.Span.to_chrome sink);
+            Printf.printf "profile of %s [%s]\n"
+              (Spec.to_string compiled.Compile.spec)
+              (Options.name options);
+            Printf.printf "  %10.2f Gflops (%5.2f%% of peak)%s\n"
+              perf.Runner.gflops
+              (100.0 *. perf.Runner.gflops /. Config.peak_gflops config)
+              (if perf.Runner.exact then "" else "  [extrapolated]");
+            print_string (Sw_obs.Profile.to_text prof);
+            Printf.printf
+              "  roofline: AI %.2f flop/B vs ridge %.2f -> %s (attainable \
+               %.2f Gflops)\n"
+              roofline.Sw_obs.Profile.ai roofline.Sw_obs.Profile.ridge
+              (Sw_obs.Profile.verdict_to_string
+                 roofline.Sw_obs.Profile.verdict)
+              roofline.Sw_obs.Profile.attainable_gflops;
+            Printf.printf "  [wrote %s]\n  [wrote %s]\n" report_path
+              trace_path;
+            Ok ())
   in
   let term =
     Term.(
       term_result
-        (const run $ input_arg $ shape_arg $ batch_arg $ fusion_arg $ bind_arg
-       $ fbind_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg $ no_hiding_arg
-       $ tiny_arg $ arch_arg $ arch_file_arg $ out_dir_arg))
+        (const run $ spec_term $ options_term $ machine_term $ out_dir_arg))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -633,33 +595,32 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 
 let breakdown_cmd =
-  let run shape tiny arch arch_file =
-    match (shape, resolve_config ~tiny ~arch ~arch_file) with
-    | None, _ -> Error (`Msg "give --shape M,N,K")
-    | _, Error e -> Error e
-    | Some (m, n, k), Ok config -> (
-        match Spec.make ~m ~n ~k () with
-        | exception Invalid_argument e -> Error (`Msg e)
-        | spec ->
-            Printf.printf "performance breakdown for %dx%dx%d (peak %.2f Gflops)\n"
-              m n k (Config.peak_gflops config);
-            List.iter
-              (fun (name, options) ->
-                let compiled =
-                  Compile.run_exn (Session.create ~no_cache:true ~options ~arch:config ()) spec
-                in
-                let p = Runner.measure compiled in
-                Printf.printf "  %-16s %10.2f Gflops\n" name p.Runner.gflops)
-              Options.breakdown;
-            let x = Sw_xmath.Xmath.measure config spec in
-            Printf.printf "  %-16s %10.2f Gflops\n" "xMath" x.Sw_xmath.Xmath.gflops;
-            Ok ())
+  let spec_term =
+    let resolve shape =
+      spec_of_shape ~missing:"give --shape M,N,K" shape None None false false
+    in
+    Term.(term_result (const resolve $ shape_arg))
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ shape_arg $ tiny_arg $ arch_arg $ arch_file_arg))
+  let run spec config =
+    Printf.printf "performance breakdown for %dx%dx%d (peak %.2f Gflops)\n"
+      spec.Spec.m spec.Spec.n spec.Spec.k (Config.peak_gflops config);
+    let rows =
+      List.fold_left
+        (fun acc (name, options) ->
+          Result.bind acc (fun () ->
+              Result.map
+                (fun (_, p) ->
+                  Printf.printf "  %-16s %10.2f Gflops\n" name p.Runner.gflops)
+                (measure ~options ~config spec)))
+        (Ok ()) Options.breakdown
+    in
+    Result.map
+      (fun () ->
+        let x = Sw_xmath.Xmath.measure config spec in
+        Printf.printf "  %-16s %10.2f Gflops\n" "xMath" x.Sw_xmath.Xmath.gflops)
+      rows
   in
+  let term = Term.(term_result (const run $ spec_term $ machine_term)) in
   Cmd.v
     (Cmd.info "breakdown"
        ~doc:"Per-optimization performance attribution (Fig. 13 of the paper)")
@@ -696,89 +657,81 @@ let tune_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run shape batch fusion ta tb budget jobs tune_db explain tiny arch
-      arch_file =
-    match
-      ( build_spec ~input:None ~shape ~batch ~fusion ~binds:[] ~fbinds:[] ~ta
-          ~tb,
-        resolve_config ~tiny ~arch ~arch_file )
-    with
-    | Error e, _ -> Error e
-    | _, Error e -> Error e
-    | Ok spec, Ok config -> (
-        if budget < 1 then Error (`Msg "--budget must be at least 1")
-        else
-          let db =
-            Option.map (fun dir -> Sw_tune.Tune_db.open_ ~dir ()) tune_db
+  let run spec config budget jobs tune_db explain =
+    if budget < 1 then Error (`Msg "--budget must be at least 1")
+    else
+      let db =
+        Option.map (fun dir -> Sw_tune.Tune_db.open_ ~dir ()) tune_db
+      in
+      Printf.printf "tuning %s on %s (%dx%d mesh, vendor kernel %dx%dx%d)\n"
+        (Spec.to_string spec) config.Config.name config.Config.mesh_rows
+        config.Config.mesh_cols config.Config.mk_m config.Config.mk_n
+        config.Config.mk_k;
+      match Sw_tune.Search.run ~budget ~jobs ?db ~config spec with
+      | Error e -> Error (`Msg e)
+      | Ok o ->
+          let open Sw_tune in
+          if o.Search.from_db then
+            print_endline
+              "  tuning DB hit: recorded winner, zero measurements";
+          Printf.printf "  winner:  %-36s %10.2f Gflops\n"
+            (Space.key o.Search.winner) o.Search.gflops;
+          let default_c = Space.default config spec in
+          if o.Search.default_gflops > 0.0 then
+            Printf.printf "  default: %-36s %10.2f Gflops  (tuned %.2fx)\n"
+              (Space.key default_c) o.Search.default_gflops
+              (o.Search.gflops /. o.Search.default_gflops);
+          let count p =
+            List.length (List.filter (fun e -> p e.Search.verdict) o.Search.entries)
           in
-          Printf.printf "tuning %s on %s (%dx%d mesh, vendor kernel %dx%dx%d)\n"
-            (Spec.to_string spec) config.Config.name config.Config.mesh_rows
-            config.Config.mesh_cols config.Config.mk_m config.Config.mk_n
-            config.Config.mk_k;
-          match Sw_tune.Search.run ~budget ~jobs ?db ~config spec with
-          | Error e -> Error (`Msg e)
-          | Ok o ->
-              let open Sw_tune in
-              if o.Search.from_db then
-                print_endline
-                  "  tuning DB hit: recorded winner, zero measurements";
-              Printf.printf "  winner:  %-36s %10.2f Gflops\n"
-                (Space.key o.Search.winner) o.Search.gflops;
-              let default_c = Space.default config spec in
-              if o.Search.default_gflops > 0.0 then
-                Printf.printf "  default: %-36s %10.2f Gflops  (tuned %.2fx)\n"
-                  (Space.key default_c) o.Search.default_gflops
-                  (o.Search.gflops /. o.Search.default_gflops);
-              let count p =
-                List.length (List.filter (fun e -> p e.Search.verdict) o.Search.entries)
-              in
-              let legality =
-                count (function Search.Legality _ -> true | _ -> false)
-              and bound =
-                count (function Search.Bound_pruned _ -> true | _ -> false)
-              and over_budget =
-                count (function Search.Budget_pruned _ -> true | _ -> false)
-              and failed =
-                count (function Search.Failed _ -> true | _ -> false)
-              in
-              if not o.Search.from_db then
-                Printf.printf
-                  "  space: %d candidates -> %d measured, %d pruned (%d \
-                   legality, %d bound, %d budget)%s\n"
-                  (List.length o.Search.entries)
-                  o.Search.measurements
-                  (legality + bound + over_budget)
-                  legality bound over_budget
-                  (if failed > 0 then Printf.sprintf ", %d failed" failed
-                   else "");
-              if Option.is_some db && not o.Search.from_db then
-                print_endline "  [winner recorded in tuning DB]";
-              if explain then
-                List.iter
-                  (fun e ->
-                    let verdict =
-                      match e.Search.verdict with
-                      | Search.Measured g ->
-                          Printf.sprintf "measured  %10.2f Gflops" g
-                      | Search.Legality r -> "legality: " ^ r
-                      | Search.Bound_pruned { bound; best } ->
-                          Printf.sprintf
-                            "bound-pruned (bound %.2f <= best %.2f)" bound best
-                      | Search.Budget_pruned { bound } ->
-                          Printf.sprintf "budget-pruned (bound %.2f)" bound
-                      | Search.Failed r -> "failed: " ^ r
-                    in
-                    Printf.printf "    %-36s %s\n" (Space.key e.Search.candidate)
-                      verdict)
-                  o.Search.entries;
-              Ok ())
+          let legality =
+            count (function Search.Legality _ -> true | _ -> false)
+          and bound =
+            count (function Search.Bound_pruned _ -> true | _ -> false)
+          and over_budget =
+            count (function Search.Budget_pruned _ -> true | _ -> false)
+          and failed =
+            count (function Search.Failed _ -> true | _ -> false)
+          in
+          if not o.Search.from_db then
+            Printf.printf
+              "  space: %d candidates -> %d measured, %d pruned (%d \
+               legality, %d bound, %d budget)%s\n"
+              (List.length o.Search.entries)
+              o.Search.measurements
+              (legality + bound + over_budget)
+              legality bound over_budget
+              (if failed > 0 then Printf.sprintf ", %d failed" failed
+               else "");
+          if Option.is_some db && not o.Search.from_db then
+            print_endline "  [winner recorded in tuning DB]";
+          if explain then
+            List.iter
+              (fun e ->
+                let verdict =
+                  match e.Search.verdict with
+                  | Search.Measured g ->
+                      Printf.sprintf "measured  %10.2f Gflops" g
+                  | Search.Legality r -> "legality: " ^ r
+                  | Search.Bound_pruned { bound; best } ->
+                      Printf.sprintf
+                        "bound-pruned (bound %.2f <= best %.2f)" bound best
+                  | Search.Budget_pruned { bound } ->
+                      Printf.sprintf "budget-pruned (bound %.2f)" bound
+                  | Search.Failed r -> "failed: " ^ r
+                in
+                Printf.printf "    %-36s %s\n" (Space.key e.Search.candidate)
+                  verdict)
+              o.Search.entries;
+          Ok ()
   in
   let term =
     Term.(
       term_result
-        (const run $ shape_arg $ batch_arg $ fusion_arg $ ta_arg $ tb_arg
-       $ budget_arg $ jobs_arg $ tune_db_arg $ explain_arg $ tiny_arg
-       $ arch_arg $ arch_file_arg))
+        (const run
+        $ shape_spec_term ~missing:no_problem
+        $ machine_term $ budget_arg $ Common_flags.jobs_arg $ tune_db_arg
+        $ explain_arg))
   in
   Cmd.v
     (Cmd.info "tune"
@@ -857,7 +810,7 @@ let fuzz_cmd =
   let fuzz_tune_db_arg =
     let doc =
       "Draw machine configurations from the tuned winners recorded in \
-       the tuning database at $(docv) (as $(i,preset\\@MxNxK) ids), so \
+       the tuning database at $(docv) (as $(i,preset@MxNxK) ids), so \
        the three-way oracle exercises exactly the decompositions the \
        tuner would serve; unioned with any $(b,--arch)."
     in
@@ -865,7 +818,7 @@ let fuzz_cmd =
   in
   let run cases seed jobs inject arch_pool arch_matrix tune_db corpus_dir
       repro_dir max_shrink sabotage replay metrics =
-    with_metrics metrics @@ fun () ->
+    Common_flags.with_metrics metrics @@ fun () ->
     match replay with
     | Some path -> (
         match Sw_check.Fuzz.replay ~print:print_endline path with
@@ -956,7 +909,6 @@ let fuzz_cmd =
         | _, _, (Error _ as e) -> e
         | Ok inj, Ok (), Ok archs ->
             if cases <= 0 then Error (`Msg "--cases must be positive")
-            else if jobs < 1 then Error (`Msg "--jobs must be at least 1")
             else
               let fault =
                 Option.map
@@ -991,9 +943,10 @@ let fuzz_cmd =
   let term =
     Term.(
       term_result
-        (const run $ cases_arg $ seed_arg $ jobs_arg $ inject_faults_arg
-       $ arch_pool_arg $ arch_matrix_arg $ fuzz_tune_db_arg $ corpus_arg
-       $ repro_arg $ max_shrink_arg $ sabotage_arg $ replay_arg $ metrics_arg))
+        (const run $ cases_arg $ seed_arg $ Common_flags.jobs_arg
+       $ inject_faults_arg $ arch_pool_arg $ arch_matrix_arg
+       $ fuzz_tune_db_arg $ corpus_arg $ repro_arg $ max_shrink_arg
+       $ sabotage_arg $ replay_arg $ Common_flags.metrics_arg))
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1121,7 +1074,9 @@ let arch_cmd =
          ~doc:
            "Show one architecture description: geometry, derived peak, SPM \
             budget check, and (with --json) the loadable JSON form")
-      Term.(term_result (const show_run $ name_arg $ arch_file_arg $ json_arg))
+      Term.(
+        term_result
+          (const show_run $ name_arg $ Common_flags.arch_file_arg $ json_arg))
   in
   Cmd.group
     (Cmd.info "arch"
@@ -1142,7 +1097,7 @@ let cache_cmd =
     Result.map
       (fun st ->
         print_endline (Sw_host.Store.stats_to_string (Sw_host.Store.stats st)))
-      (open_store dir)
+      (Common_flags.open_store dir)
   in
   let budget_arg =
     let pos_int =
@@ -1168,10 +1123,10 @@ let cache_cmd =
         let s = Sw_host.Store.stats st in
         Printf.printf "evicted=%d entries=%d bytes=%d\n" evicted
           s.Sw_host.Store.entries s.Sw_host.Store.bytes)
-      (open_store dir)
+      (Common_flags.open_store dir)
   in
   let verify_run dir =
-    Result.bind (open_store dir) (fun st ->
+    Result.bind (Common_flags.open_store dir) (fun st ->
         let r = Sw_host.Store.verify st in
         print_endline (Sw_host.Store.verify_to_string r);
         if r.Sw_host.Store.report_served_corrupt > 0 then
@@ -1226,39 +1181,23 @@ let debug_cmd =
   (* An on-demand flight dump: run one compilation at debug verbosity with
      the recorder installed and dump unconditionally — no failure needed.
      The resulting file has the same schema as the automatic failure dumps. *)
-  let dump_run input shape batch fusion binds fbinds ta tb no_asm no_rma
-      no_hiding tiny arch arch_file store_dir out_dir =
-    match
-      ( build_spec ~input ~shape ~batch ~fusion ~binds ~fbinds ~ta ~tb,
-        resolve_config ~tiny ~arch ~arch_file,
-        match store_dir with
-        | None -> Ok None
-        | Some dir -> Result.map Option.some (open_store dir) )
-    with
-    | Error e, _, _ -> Error e
-    | _, Error e, _ -> Error e
-    | _, _, Error e -> Error e
-    | Ok spec, Ok config, Ok store ->
-        let flight = Sw_obs.Flight.create ~dir:out_dir () in
-        Sw_obs.Log.install (Sw_obs.Log.create ~min_level:Sw_obs.Log.Debug ());
-        Sw_obs.Flight.install flight;
-        Fun.protect ~finally:(fun () ->
-            Sw_obs.Flight.uninstall ();
-            Sw_obs.Log.uninstall ())
-        @@ fun () ->
-        let options = build_options ~no_asm ~no_rma ~no_hiding in
-        let session =
-          Session.create ~no_cache:true ~options ?store ~arch:config ()
-        in
-        (match Compile.run session spec with
-        | Ok compiled ->
-            Printf.printf "compiled %s [%s]\n"
-              (Spec.to_string compiled.Compile.spec)
-              (Options.name options)
-        | Error e -> Printf.printf "compile failed: %s\n" (Error.to_string e));
-        let path = Sw_obs.Flight.dump ~reason:"debug.dump" flight in
-        Printf.printf "flight record: %s\n" path;
-        Ok ()
+  let dump_run spec options config store out_dir =
+    let flight = Sw_obs.Flight.create ~dir:out_dir () in
+    Sw_obs.Log.install (Sw_obs.Log.create ~min_level:Sw_obs.Log.Debug ());
+    Sw_obs.Flight.install flight;
+    Fun.protect ~finally:(fun () ->
+        Sw_obs.Flight.uninstall ();
+        Sw_obs.Log.uninstall ())
+    @@ fun () ->
+    (match compile_once ?store:(Option.map snd store) ~options ~config spec with
+    | Ok compiled ->
+        Printf.printf "compiled %s [%s]\n"
+          (Spec.to_string compiled.Compile.spec)
+          (Options.name options)
+    | Error (`Msg e) -> Printf.printf "compile failed: %s\n" e);
+    let path = Sw_obs.Flight.dump ~reason:"debug.dump" flight in
+    Printf.printf "flight record: %s\n" path;
+    Ok ()
   in
   let dump_cmd =
     Cmd.v
@@ -1269,10 +1208,8 @@ let debug_cmd =
             unconditionally and print its path")
       Term.(
         term_result
-          (const dump_run $ input_arg $ shape_arg $ batch_arg $ fusion_arg
-         $ bind_arg $ fbind_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg
-         $ no_hiding_arg $ tiny_arg $ arch_arg $ arch_file_arg $ store_arg
-         $ out_dir_arg))
+          (const dump_run $ spec_term $ options_term $ machine_term
+         $ store_term $ out_dir_arg))
   in
   Cmd.group
     (Cmd.info "debug"
@@ -1283,24 +1220,29 @@ let debug_cmd =
 (* client: drive a running swgemmd over the wire protocol               *)
 (* ------------------------------------------------------------------ *)
 
-let client_socket_arg =
-  let doc = "Connect to the daemon's Unix socket at $(docv)." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let client_port_arg =
-  let doc = "Connect to the daemon over TCP on port $(docv)." in
-  Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
-
-let client_host_arg =
-  let doc = "TCP host the daemon listens on." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
-
-let connector ~socket ~host ~port =
-  match (socket, port) with
-  | Some _, Some _ -> Error (`Msg "give --socket or --port, not both")
-  | Some path, None -> Ok (fun () -> Sw_host.Client.connect_unix ~path)
-  | None, Some port -> Ok (fun () -> Sw_host.Client.connect_tcp ~host ~port ())
-  | None, None -> Error (`Msg "give --socket PATH or --port PORT")
+(* The daemon to talk to: --socket, or --port on --host. *)
+let connect_term =
+  let socket_arg =
+    let doc = "Connect to the daemon's Unix socket at $(docv)." in
+    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+  in
+  let port_arg =
+    let doc = "Connect to the daemon over TCP on port $(docv)." in
+    Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
+  in
+  let host_arg =
+    let doc = "TCP host the daemon listens on." in
+    Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
+  in
+  let resolve socket port host =
+    match (socket, port) with
+    | Some _, Some _ -> Error (`Msg "give --socket or --port, not both")
+    | Some path, None -> Ok (fun () -> Sw_host.Client.connect_unix ~path)
+    | None, Some port ->
+        Ok (fun () -> Sw_host.Client.connect_tcp ~host ~port ())
+    | None, None -> Error (`Msg "give --socket PATH or --port PORT")
+  in
+  Term.(term_result (const resolve $ socket_arg $ port_arg $ host_arg))
 
 let with_client connect f =
   match
@@ -1325,24 +1267,11 @@ let client_call c ~meth ~params =
           (Printf.sprintf "%s failed [%s]: %s" meth e.Sw_host.Wire.err_class
              e.Sw_host.Wire.message))
 
-(* The wire request body: the same spec/options flags the local compile
-   command takes, serialized through the protocol's JSON codecs. *)
-let client_params ~shape ~batch ~fusion ~ta ~tb ~options =
-  match shape with
-  | None -> Error (`Msg "give --shape M,N,K")
-  | Some (m, n, k) -> (
-      match parse_fusion fusion with
-      | Error _ as e -> e
-      | Ok fusion -> (
-          match Spec.make ?batch ~ta ~tb ~fusion ~m ~n ~k () with
-          | spec ->
-              Ok
-                (Sw_obs.Json.Obj
-                   [
-                     ("spec", Spec.to_json spec);
-                     ("options", Options.to_json options);
-                   ])
-          | exception Invalid_argument e -> Error (`Msg e)))
+(* The wire request body: the problem the local compile command takes,
+   serialized through the protocol's JSON codecs. *)
+let request_params spec options =
+  Sw_obs.Json.Obj
+    [ ("spec", Spec.to_json spec); ("options", Options.to_json options) ]
 
 let response_string name body =
   match Sw_obs.Json.member name body with
@@ -1369,68 +1298,44 @@ let padded_string body =
       match Spec.of_json j with Ok s -> Spec.to_string s | Error _ -> "?")
   | None -> "?"
 
-let client_ping socket port host =
-  match connector ~socket ~host ~port with
-  | Error _ as e -> e
-  | Ok connect ->
-      with_client connect @@ fun c ->
-      Result.map
-        (fun _ -> print_string "pong\n")
-        (client_call c ~meth:"ping" ~params:(Sw_obs.Json.Obj []))
+let client_ping connect =
+  with_client connect @@ fun c ->
+  Result.map
+    (fun _ -> print_string "pong\n")
+    (client_call c ~meth:"ping" ~params:(Sw_obs.Json.Obj []))
 
-let client_compile socket port host shape batch fusion ta tb no_asm no_rma
-    no_hiding emit =
-  let options = build_options ~no_asm ~no_rma ~no_hiding in
-  match connector ~socket ~host ~port with
+let client_compile connect spec options emit =
+  with_client connect @@ fun c ->
+  match client_call c ~meth:"compile" ~params:(request_params spec options) with
   | Error _ as e -> e
-  | Ok connect -> (
-      match client_params ~shape ~batch ~fusion ~ta ~tb ~options with
-      | Error _ as e -> e
-      | Ok params -> (
-          with_client connect @@ fun c ->
-          match client_call c ~meth:"compile" ~params with
-          | Error _ as e -> e
-          | Ok body -> (
-              Printf.printf "compiled %s [%s] (remote)\n" (padded_string body)
-                (Options.name options);
-              (match Sw_obs.Json.member "spm_bytes" body with
-              | Some (Sw_obs.Json.Int b) ->
-                  Printf.printf "  SPM footprint: %d bytes\n" b
-              | _ -> ());
-              match emit with
-              | None -> Ok ()
-              | Some dir ->
-                  Result.map
-                    (fun (mpe, cpe) ->
-                      Printf.printf "  wrote %s and %s\n" mpe cpe)
-                    (write_remote_c ~dir body))))
-
-let client_verify socket port host shape batch fusion ta tb no_asm no_rma
-    no_hiding =
-  let options = build_options ~no_asm ~no_rma ~no_hiding in
-  match connector ~socket ~host ~port with
-  | Error _ as e -> e
-  | Ok connect -> (
-      match client_params ~shape ~batch ~fusion ~ta ~tb ~options with
-      | Error _ as e -> e
-      | Ok params ->
-          with_client connect @@ fun c ->
+  | Ok body -> (
+      Printf.printf "compiled %s [%s] (remote)\n" (padded_string body)
+        (Options.name options);
+      (match Sw_obs.Json.member "spm_bytes" body with
+      | Some (Sw_obs.Json.Int b) -> Printf.printf "  SPM footprint: %d bytes\n" b
+      | _ -> ());
+      match emit with
+      | None -> Ok ()
+      | Some dir ->
           Result.map
-            (fun body ->
-              Printf.printf "verify %s [%s]: PASS (remote)\n"
-                (padded_string body) (Options.name options))
-            (client_call c ~meth:"verify" ~params))
+            (fun (mpe, cpe) -> Printf.printf "  wrote %s and %s\n" mpe cpe)
+            (write_remote_c ~dir body))
 
-let client_stat socket port host =
-  match connector ~socket ~host ~port with
-  | Error _ as e -> e
-  | Ok connect ->
-      with_client connect @@ fun c ->
-      Result.map
-        (fun body ->
-          print_string (Sw_obs.Json.to_string ~pretty:true body);
-          print_newline ())
-        (client_call c ~meth:"stat" ~params:(Sw_obs.Json.Obj []))
+let client_verify connect spec options =
+  with_client connect @@ fun c ->
+  Result.map
+    (fun body ->
+      Printf.printf "verify %s [%s]: PASS (remote)\n" (padded_string body)
+        (Options.name options))
+    (client_call c ~meth:"verify" ~params:(request_params spec options))
+
+let client_stat connect =
+  with_client connect @@ fun c ->
+  Result.map
+    (fun body ->
+      print_string (Sw_obs.Json.to_string ~pretty:true body);
+      print_newline ())
+    (client_call c ~meth:"stat" ~params:(Sw_obs.Json.Obj []))
 
 let clients_arg =
   let doc = "Concurrent client connections to drive." in
@@ -1448,174 +1353,117 @@ let bench_out_arg =
     & opt string (Filename.concat "results" "BENCH_service.json")
     & info [ "out" ] ~docv:"FILE" ~doc)
 
-let client_loadgen socket port host shape batch fusion ta tb no_asm no_rma
-    no_hiding clients requests emit out =
-  let options = build_options ~no_asm ~no_rma ~no_hiding in
-  match connector ~socket ~host ~port with
-  | Error _ as e -> e
-  | Ok connect -> (
-      match client_params ~shape ~batch ~fusion ~ta ~tb ~options with
-      | Error _ as e -> e
-      | Ok params -> (
-          let r = Loadgen.run ~connect ~params ~clients ~requests () in
-          let p50 = Loadgen.quantile_ms r.Loadgen.latencies 0.5 in
-          let p99 = Loadgen.quantile_ms r.Loadgen.latencies 0.99 in
-          let mean_ms =
-            match r.Loadgen.latencies with
-            | [] -> 0.0
-            | l ->
-                1000.0 *. List.fold_left ( +. ) 0.0 l
-                /. float_of_int (List.length l)
-          in
-          let rows =
-            List.map
-              (fun row ->
-                Sw_obs.Json.List
+let client_loadgen connect spec options clients requests emit out =
+  let params = request_params spec options in
+  let r = Loadgen.run ~connect ~params ~clients ~requests () in
+  let p50 = Loadgen.quantile_ms r.Loadgen.latencies 0.5 in
+  let p99 = Loadgen.quantile_ms r.Loadgen.latencies 0.99 in
+  let mean_ms =
+    match r.Loadgen.latencies with
+    | [] -> 0.0
+    | l ->
+        1000.0 *. List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+  in
+  let strings l = Sw_obs.Json.List (List.map (fun c -> Sw_obs.Json.String c) l) in
+  let json =
+    Sw_obs.Json.Obj
+      [
+        ("series", Sw_obs.Json.String "service");
+        ("clients", Sw_obs.Json.Int clients);
+        ("requests", Sw_obs.Json.Int requests);
+        ("errors", Sw_obs.Json.Int r.Loadgen.errors);
+        ("identical_c", Sw_obs.Json.Bool r.Loadgen.identical_c);
+        ("wall_seconds", Sw_obs.Json.Float r.Loadgen.wall_s);
+        ( "throughput_rps",
+          Sw_obs.Json.Float
+            (if r.Loadgen.wall_s > 0.0 then
+               float_of_int requests /. r.Loadgen.wall_s
+             else 0.0) );
+        ( "latency_ms",
+          Sw_obs.Json.Obj
+            [
+              ("p50", Sw_obs.Json.Float p50);
+              ("p99", Sw_obs.Json.Float p99);
+              ("mean", Sw_obs.Json.Float mean_ms);
+            ] );
+        ( "tables",
+          Sw_obs.Json.Obj
+            [
+              ( "service",
+                Sw_obs.Json.Obj
                   [
-                    Sw_obs.Json.String (string_of_int row.Loadgen.client);
-                    Sw_obs.Json.String (string_of_int row.Loadgen.requests);
-                    Sw_obs.Json.String (string_of_int row.Loadgen.errors);
-                    Sw_obs.Json.String
-                      (Printf.sprintf "%.3f" (1000.0 *. row.Loadgen.mean_s));
-                    Sw_obs.Json.String
-                      (Printf.sprintf "%.3f" (1000.0 *. row.Loadgen.max_s));
-                  ])
-              r.Loadgen.rows
-          in
-          let json =
-            Sw_obs.Json.Obj
-              [
-                ("series", Sw_obs.Json.String "service");
-                ("clients", Sw_obs.Json.Int clients);
-                ("requests", Sw_obs.Json.Int requests);
-                ("errors", Sw_obs.Json.Int r.Loadgen.errors);
-                ("identical_c", Sw_obs.Json.Bool r.Loadgen.identical_c);
-                ("wall_seconds", Sw_obs.Json.Float r.Loadgen.wall_s);
-                ( "throughput_rps",
-                  Sw_obs.Json.Float
-                    (if r.Loadgen.wall_s > 0.0 then
-                       float_of_int requests /. r.Loadgen.wall_s
-                     else 0.0) );
-                ( "latency_ms",
-                  Sw_obs.Json.Obj
-                    [
-                      ("p50", Sw_obs.Json.Float p50);
-                      ("p99", Sw_obs.Json.Float p99);
-                      ("mean", Sw_obs.Json.Float mean_ms);
-                    ] );
-                ( "tables",
-                  Sw_obs.Json.Obj
-                    [
-                      ( "service",
-                        Sw_obs.Json.Obj
-                          [
-                            ( "columns",
-                              Sw_obs.Json.List
-                                (List.map
-                                   (fun c -> Sw_obs.Json.String c)
-                                   [
-                                     "client"; "requests"; "errors"; "mean_ms";
-                                     "max_ms";
-                                   ]) );
-                            ("rows", Sw_obs.Json.List rows);
-                          ] );
-                    ] );
-              ]
-          in
-          (try Unix.mkdir (Filename.dirname out) 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) | Sys_error _ -> ());
-          Sw_obs.Json.write_file ~pretty:true ~path:out json;
-          Printf.printf
-            "loadgen: %d request(s) over %d client(s) in %.3f s\n\
-            \  errors: %d   identical C: %b\n\
-            \  latency p50 %.3f ms   p99 %.3f ms   mean %.3f ms\n\
-             [wrote %s]\n"
-            requests clients r.Loadgen.wall_s r.Loadgen.errors
-            r.Loadgen.identical_c p50 p99 mean_ms out;
-          (match (emit, r.Loadgen.first) with
-          | Some dir, Some body ->
-              Result.map
-                (fun (mpe, cpe) -> Printf.printf "  wrote %s and %s\n" mpe cpe)
-                (write_remote_c ~dir body)
-          | Some _, None -> Error (`Msg "loadgen: no successful response to emit")
-          | None, _ -> Ok ())
-          |> function
-          | Error _ as e -> e
-          | Ok () ->
-              if not r.Loadgen.identical_c then
-                Error (`Msg "loadgen: responses returned differing C")
-              else if r.Loadgen.errors > 0 then
-                Error
-                  (`Msg
-                    (Printf.sprintf "loadgen: %d request(s) failed"
-                       r.Loadgen.errors))
-              else Ok ()))
+                    ("columns", strings Loadgen.columns);
+                    ( "rows",
+                      Sw_obs.Json.List
+                        (List.map
+                           (fun row -> strings (Loadgen.row_cells row))
+                           r.Loadgen.rows) );
+                  ] );
+            ] );
+      ]
+  in
+  (try Unix.mkdir (Filename.dirname out) 0o755
+   with Unix.Unix_error (Unix.EEXIST, _, _) | Sys_error _ -> ());
+  Sw_obs.Json.write_file ~pretty:true ~path:out json;
+  Printf.printf
+    "loadgen: %d request(s) over %d client(s) in %.3f s\n\
+    \  errors: %d   identical C: %b\n\
+    \  latency p50 %.3f ms   p99 %.3f ms   mean %.3f ms\n\
+     [wrote %s]\n"
+    requests clients r.Loadgen.wall_s r.Loadgen.errors r.Loadgen.identical_c
+    p50 p99 mean_ms out;
+  (match (emit, r.Loadgen.first) with
+  | Some dir, Some body ->
+      Result.map
+        (fun (mpe, cpe) -> Printf.printf "  wrote %s and %s\n" mpe cpe)
+        (write_remote_c ~dir body)
+  | Some _, None -> Error (`Msg "loadgen: no successful response to emit")
+  | None, _ -> Ok ())
+  |> function
+  | Error _ as e -> e
+  | Ok () ->
+      if not r.Loadgen.identical_c then
+        Error (`Msg "loadgen: responses returned differing C")
+      else if r.Loadgen.errors > 0 then
+        Error
+          (`Msg (Printf.sprintf "loadgen: %d request(s) failed" r.Loadgen.errors))
+      else Ok ()
 
 let client_cmd =
-  let conn = (client_socket_arg, client_port_arg, client_host_arg) in
-  let spec_terms f =
-    let socket, port, host = conn in
-    Term.(
-      term_result
-        (const f $ socket $ port $ host $ shape_arg $ batch_arg $ fusion_arg
-       $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg $ no_hiding_arg))
-  in
-  let ping_cmd =
-    let socket, port, host = conn in
-    Cmd.v
-      (Cmd.info "ping" ~doc:"Round-trip a liveness probe to the daemon")
-      Term.(term_result (const client_ping $ socket $ port $ host))
-  in
-  let compile_cmd =
-    let socket, port, host = conn in
-    Cmd.v
-      (Cmd.info "compile"
-         ~doc:
-           "Compile a shape on the daemon; $(b,--emit) writes the returned \
-            MPE/CPE C under the same file names batch compile uses")
-      Term.(
-        term_result
-          (const client_compile $ socket $ port $ host $ shape_arg $ batch_arg
-         $ fusion_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg
-         $ no_hiding_arg $ emit_arg))
-  in
-  let verify_cmd =
-    Cmd.v
-      (Cmd.info "verify"
-         ~doc:
-           "Compile a shape on the daemon and run its functional \
-            verification remotely")
-      (spec_terms client_verify)
-  in
-  let stat_cmd =
-    let socket, port, host = conn in
-    Cmd.v
-      (Cmd.info "stat"
-         ~doc:"Print the daemon's plan-cache and store counters as JSON")
-      Term.(term_result (const client_stat $ socket $ port $ host))
-  in
-  let loadgen_cmd =
-    let socket, port, host = conn in
-    Cmd.v
-      (Cmd.info "loadgen"
-         ~doc:
-           "Drive N concurrent clients through the domain pool against the \
-            daemon, report p50/p99 latency and write the BENCH_service \
-            report; fails unless every response succeeded with \
-            byte-identical C")
-      Term.(
-        term_result
-          (const client_loadgen $ socket $ port $ host $ shape_arg $ batch_arg
-         $ fusion_arg $ ta_arg $ tb_arg $ no_asm_arg $ no_rma_arg
-         $ no_hiding_arg $ clients_arg $ requests_arg $ emit_arg
-         $ bench_out_arg))
-  in
+  let spec_term = shape_spec_term ~missing:"give --shape M,N,K" in
+  let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) (Term.term_result term) in
   Cmd.group
     (Cmd.info "client"
        ~doc:
          "Talk to a running swgemmd over the line-delimited JSON wire \
           protocol (v1)")
-    [ ping_cmd; compile_cmd; verify_cmd; stat_cmd; loadgen_cmd ]
+    [
+      cmd "ping" ~doc:"Round-trip a liveness probe to the daemon"
+        Term.(const client_ping $ connect_term);
+      cmd "compile"
+        ~doc:
+          "Compile a shape on the daemon; $(b,--emit) writes the returned \
+           MPE/CPE C under the same file names batch compile uses"
+        Term.(
+          const client_compile $ connect_term $ spec_term $ options_term
+          $ emit_arg);
+      cmd "verify"
+        ~doc:
+          "Compile a shape on the daemon and run its functional \
+           verification remotely"
+        Term.(const client_verify $ connect_term $ spec_term $ options_term);
+      cmd "stat" ~doc:"Print the daemon's plan-cache and store counters as JSON"
+        Term.(const client_stat $ connect_term);
+      cmd "loadgen"
+        ~doc:
+          "Drive N concurrent clients through the domain pool against the \
+           daemon, report p50/p99 latency and write the BENCH_service \
+           report; fails unless every response succeeded with \
+           byte-identical C"
+        Term.(
+          const client_loadgen $ connect_term $ spec_term $ options_term
+          $ clients_arg $ requests_arg $ emit_arg $ bench_out_arg);
+    ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -55,24 +55,6 @@ type t = {
   fault : (int * Sw_arch.Fault.kind list option) option;
 }
 
-let fusion_to_string = function
-  | Spec.No_fusion -> "none"
-  | Spec.Prologue fn -> "prologue:" ^ fn
-  | Spec.Epilogue fn -> "epilogue:" ^ fn
-
-let fusion_of_string s =
-  match String.index_opt s ':' with
-  | None -> if String.equal s "none" then Some Spec.No_fusion else None
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      let fn = String.sub s (i + 1) (String.length s - i - 1) in
-      if not (Sw_kernels.Elementwise.known fn) then None
-      else
-        match kind with
-        | "prologue" -> Some (Spec.Prologue fn)
-        | "epilogue" -> Some (Spec.Epilogue fn)
-        | _ -> None)
-
 let fault_to_string = function
   | None -> ""
   | Some (seed, None) -> Printf.sprintf " fault=%d:all" seed
@@ -98,7 +80,7 @@ let to_json t =
       ("beta", Json.Float s.Spec.beta);
       ("ta", Json.Bool s.Spec.ta);
       ("tb", Json.Bool s.Spec.tb);
-      ("fusion", Json.String (fusion_to_string s.Spec.fusion));
+      ("fusion", Json.String (Spec.fusion_to_string s.Spec.fusion));
       ( "options",
         Json.Obj
           [
@@ -153,9 +135,9 @@ let of_json j =
   let* tb = field "tb" Json.to_bool_opt j in
   let* fusion =
     let* s = field "fusion" Json.to_string_opt j in
-    match fusion_of_string s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "case: unknown fusion %S" s)
+    Result.map_error
+      (fun _ -> Printf.sprintf "case: unknown fusion %S" s)
+      (Spec.fusion_of_string s)
   in
   let* options =
     match Json.member "options" j with

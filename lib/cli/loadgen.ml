@@ -103,3 +103,14 @@ let quantile_ms latencies q =
           match Metrics.quantile v q with
           | Some s -> s *. 1000.0
           | None -> 0.0))
+
+let columns = [ "client"; "requests"; "errors"; "mean_ms"; "max_ms" ]
+
+let row_cells row =
+  [
+    string_of_int row.client;
+    string_of_int row.requests;
+    string_of_int row.errors;
+    Printf.sprintf "%.3f" (1000.0 *. row.mean_s);
+    Printf.sprintf "%.3f" (1000.0 *. row.max_s);
+  ]

@@ -45,3 +45,12 @@ val quantile_ms : float list -> float -> float
     {!Sw_obs.Metrics} exponential-bucket histogram (the same estimator
     the daemon's own [server.request_seconds] metric feeds) — 0 for an
     empty list. *)
+
+val columns : string list
+(** Column names of the per-client table: client, requests, errors,
+    mean_ms, max_ms. *)
+
+val row_cells : client_row -> string list
+(** One client's row under {!columns}, latencies in milliseconds to three
+    decimals: the cells both the BENCH_service JSON of [client loadgen]
+    and the bench [service] CSV print. *)

@@ -66,6 +66,18 @@ let to_string t =
   Printf.sprintf "%s alpha=%g beta=%g%s%s%s" base t.alpha t.beta trans batch
     fusion
 
+let fusion_to_string = function
+  | No_fusion -> "none"
+  | Prologue fn -> "prologue:" ^ fn
+  | Epilogue fn -> "epilogue:" ^ fn
+
+let fusion_of_string s =
+  match String.split_on_char ':' s with
+  | [ "none" ] -> Ok No_fusion
+  | [ "prologue"; fn ] -> Ok (Prologue fn)
+  | [ "epilogue"; fn ] -> Ok (Epilogue fn)
+  | _ -> Error "fusion must be prologue:<fn> or epilogue:<fn>"
+
 (* ------------------------------------------------------------------ *)
 (* Wire image                                                           *)
 (* ------------------------------------------------------------------ *)

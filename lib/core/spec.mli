@@ -47,6 +47,14 @@ val flops : t -> int
 
 val to_string : t -> string
 
+val fusion_to_string : fusion -> string
+(** ["none"], ["prologue:<fn>"] or ["epilogue:<fn>"]: the text form the
+    [--fusion] flag and conformance case files use. *)
+
+val fusion_of_string : string -> (fusion, string) result
+(** Inverse of {!fusion_to_string}. Any other text is an error. The
+    kernel name is not checked here; {!make} rejects unknown kernels. *)
+
 val to_json : t -> Sw_obs.Json.t
 (** The wire image [swgemmd] accepts as [params.spec]: integer [m]/[n]/
     [k], optional [batch], [alpha]/[beta] numbers, [ta]/[tb] booleans and

@@ -47,6 +47,16 @@ let test_spec_validation () =
   (match Spec.make ~batch:0 ~m:1 ~n:1 ~k:1 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "batch=0 accepted");
+  List.iter
+    (fun f ->
+      if Spec.fusion_of_string (Spec.fusion_to_string f) <> Ok f then
+        Alcotest.failf "fusion %s does not round-trip" (Spec.fusion_to_string f))
+    [ Spec.No_fusion; Spec.Prologue "quant"; Spec.Epilogue "relu" ];
+  List.iter
+    (fun s ->
+      if Result.is_ok (Spec.fusion_of_string s) then
+        Alcotest.failf "fusion text %S accepted" s)
+    [ ""; "relu"; "sideways:relu"; "prologue:a:b" ];
   match Spec.make ~fusion:(Spec.Prologue "nonsense") ~m:1 ~n:1 ~k:1 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown fusion kernel accepted"
