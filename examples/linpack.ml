@@ -34,25 +34,14 @@ let simulated_gemm_update ~(a : Matrix.t) ~(b : Matrix.t) ~(c : Matrix.t) =
       ~k:a.Matrix.cols ()
   in
   let compiled = compile_exn ~config:tiny spec in
-  let padded = compiled.Compile.spec in
-  let mem = Mem.create () in
-  let install name (m : Matrix.t) rows cols =
-    let p = Matrix.pad m ~rows ~cols in
-    Mem.alloc_init mem name ~dims:[ rows; cols ] ~f:(fun idx ->
-        Matrix.get p idx.(0) idx.(1))
-  in
-  install "A" a padded.Spec.m padded.Spec.k;
-  install "B" b padded.Spec.k padded.Spec.n;
-  install "C" c padded.Spec.m padded.Spec.n;
-  (match Interp.run ~config:tiny ~functional:true ~mem compiled.Compile.program with
-  | Ok _ -> ()
-  | Error e -> failwith (Error.to_string e));
-  let data = Mem.data mem "C" in
-  for i = 0 to c.Matrix.rows - 1 do
-    for j = 0 to c.Matrix.cols - 1 do
-      Matrix.set c i j data.((i * padded.Spec.n) + j)
-    done
-  done
+  match
+    Runner.simulate ~config:tiny compiled.Compile.program
+      ~operands:[ ("A", [| a |]); ("B", [| b |]); ("C", [| c |]) ]
+  with
+  | Ok (_, mem) ->
+      let got = Runner.read mem "C" ~rows:c.Matrix.rows ~cols:c.Matrix.cols in
+      Matrix.blit_into ~src:got.(0) ~dst:c ~row:0 ~col:0
+  | Error e -> failwith (Error.to_string e)
 
 let () =
   print_endline "== Linpack driven by the generated GEMM ==\n";

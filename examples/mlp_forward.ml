@@ -31,27 +31,15 @@ let run_layer ~fusion ~a ~b ~out_rows ~out_cols =
     Spec.make ~beta:0.0 ~fusion ~m:out_rows ~n:out_cols ~k:a.Matrix.cols ()
   in
   let compiled = compile_exn ~config spec in
-  let padded = compiled.Compile.spec in
-  let mem = Mem.create () in
-  let install name (m : Matrix.t) rows cols =
-    let p = Matrix.pad m ~rows ~cols in
-    Mem.alloc_init mem name ~dims:[ rows; cols ] ~f:(fun idx ->
-        Matrix.get p idx.(0) idx.(1))
-  in
-  install "A" a padded.Spec.m padded.Spec.k;
-  install "B" b padded.Spec.k padded.Spec.n;
-  install "C"
-    (Matrix.create ~rows:out_rows ~cols:out_cols)
-    padded.Spec.m padded.Spec.n;
-  let r =
-    match Interp.run ~config ~functional:true ~mem compiled.Compile.program with
-    | Ok r -> r
-    | Error e -> failwith (Error.to_string e)
-  in
-  let data = Mem.data mem "C" in
-  ( Matrix.init ~rows:out_rows ~cols:out_cols ~f:(fun i j ->
-        data.((i * padded.Spec.n) + j)),
-    r.Interp.seconds )
+  (* beta = 0: C starts as the zero array simulate allocates *)
+  match
+    Runner.simulate ~config compiled.Compile.program
+      ~operands:[ ("A", [| a |]); ("B", [| b |]) ]
+  with
+  | Ok (r, mem) ->
+      ( (Runner.read mem "C" ~rows:out_rows ~cols:out_cols).(0),
+        r.Interp.seconds )
+  | Error e -> failwith (Error.to_string e)
 
 let () =
   print_endline "== two-layer MLP forward pass on the simulated cluster ==\n";

@@ -13,7 +13,6 @@ type report = {
 
 let ( let* ) = Result.bind
 let fail stage fmt = Printf.ksprintf (fun detail -> Error { stage; detail }) fmt
-let tol = 1e-9
 
 (* Deterministic hang bound: an event-count budget (never wall-clock, which
    would make failures scheduling-dependent). Clean tiny-config runs take
@@ -21,65 +20,13 @@ let tol = 1e-9
 let watchdog =
   { Sw_arch.Engine.no_watchdog with Sw_arch.Engine.max_events = Some 20_000_000 }
 
-let batch_count (spec : Spec.t) =
-  match spec.Spec.batch with Some b -> b | None -> 1
-
-let stored_dims (spec : Spec.t) =
-  let a =
-    if spec.Spec.ta then (spec.Spec.k, spec.Spec.m)
-    else (spec.Spec.m, spec.Spec.k)
-  in
-  let b =
-    if spec.Spec.tb then (spec.Spec.n, spec.Spec.k)
-    else (spec.Spec.k, spec.Spec.n)
-  in
-  (a, b)
-
-(* Input matrices at the ORIGINAL sizes, with the per-array seed
-   convention of Runner.setup_memory. *)
-let inputs (spec : Spec.t) ~seed =
-  let nb = batch_count spec in
-  let mk name rows cols =
-    Array.init nb (fun b ->
-        Matrix.random ~rows ~cols ~seed:(seed + (31 * b) + Hashtbl.hash name))
-  in
-  let (ar, ac), (br, bc) = stored_dims spec in
-  (mk "A" ar ac, mk "B" br bc, mk "C" spec.Spec.m spec.Spec.n)
-
-(* Route 3: the pure-OCaml reference, as in Runner.reference. *)
-let reference (spec : Spec.t) ~a ~b ~c0 =
-  let cref = Array.map Matrix.copy c0 in
-  let a = if spec.Spec.ta then Array.map Matrix.transpose a else a in
-  let b = if spec.Spec.tb then Array.map Matrix.transpose b else b in
-  let alpha = spec.Spec.alpha and beta = spec.Spec.beta in
-  Array.iteri
-    (fun i (ai : Matrix.t) ->
-      match spec.Spec.fusion with
-      | Spec.No_fusion -> Dgemm.gemm ~alpha ~beta ~a:ai ~b:b.(i) ~c:cref.(i)
-      | Spec.Prologue fn ->
-          Dgemm.fused_prologue ~fn ~alpha ~beta ~a:ai ~b:b.(i) ~c:cref.(i)
-      | Spec.Epilogue fn ->
-          Dgemm.fused_epilogue ~fn ~alpha ~beta ~a:ai ~b:b.(i) ~c:cref.(i))
-    a;
-  cref
-
 let compare_batches ~stage ~what (cref : Matrix.t array) (got : Matrix.t array)
     =
-  let rec go i =
-    if i >= Array.length cref then Ok ()
-    else
-      let diff = Matrix.max_abs_diff cref.(i) got.(i) in
-      let scale =
-        Array.fold_left
-          (fun acc x -> Float.max acc (abs_float x))
-          1.0 cref.(i).Matrix.data
-      in
-      if diff > tol *. scale then
-        fail stage "%s diverges on batch %d: |diff| %.3e (scale %.3e)" what i
-          diff scale
-      else go (i + 1)
-  in
-  go 0
+  match Runner.first_mismatch cref got with
+  | None -> Ok ()
+  | Some (i, diff, scale) ->
+      fail stage "%s diverges on batch %d: |diff| %.3e (scale %.3e)" what i
+        diff scale
 
 (* ------------------------------------------------------------------ *)
 (* Route 1: direct interpretation of the rendered C source              *)
@@ -120,7 +67,7 @@ let exec_route (spec : Spec.t) ~a ~b ~c0 ~cref =
           fail "exec" "direct interpretation failed: %s" e
       | () ->
           let got =
-            unflatten ~nb:(batch_count spec) ~rows:spec.Spec.m
+            unflatten ~nb:(Array.length c0) ~rows:spec.Spec.m
               ~cols:spec.Spec.n fc
           in
           let* () =
@@ -152,46 +99,20 @@ let compile_case (case : Case.t) ~options =
         (Sw_arch.Error.to_string e)
         (Options.name options)
 
-let install_padded mem name (mats : Matrix.t array) ~batched ~rows ~cols =
-  let nb = Array.length mats in
-  let rows_o = mats.(0).Matrix.rows and cols_o = mats.(0).Matrix.cols in
-  let dims = if batched then [ nb; rows; cols ] else [ rows; cols ] in
-  Sw_arch.Mem.alloc_init mem name ~dims ~f:(fun idx ->
-      let b, r, c =
-        match idx with
-        | [| r; c |] -> (0, r, c)
-        | [| b; r; c |] -> (b, r, c)
-        | _ -> assert false
-      in
-      if r < rows_o && c < cols_o then Matrix.get mats.(b) r c else 0.0)
-
 (* Functional run of the generated program over the original data
    zero-padded to the decomposition; returns the original-size corner of
    each C batch. Zero padding is exact for every supported spec: padded
    rows of B are zero, so even a prologue with fn(0) <> 0 contributes
    nothing to the corner. *)
 let simulate (compiled : Compile.t) ~a ~b ~c0 =
-  let spec = compiled.Compile.spec in
   let orig = compiled.Compile.original in
-  let batched = spec.Spec.batch <> None in
-  let (ar, ac), (br, bc) = stored_dims spec in
-  let mem = Sw_arch.Mem.create () in
-  install_padded mem "A" a ~batched ~rows:ar ~cols:ac;
-  install_padded mem "B" b ~batched ~rows:br ~cols:bc;
-  install_padded mem "C" c0 ~batched ~rows:spec.Spec.m ~cols:spec.Spec.n;
   match
-    Sw_arch.Interp.run ~watchdog ~config:compiled.Compile.config
-      ~functional:true ~mem compiled.Compile.program
+    Runner.simulate ~watchdog ~config:compiled.Compile.config
+      compiled.Compile.program
+      ~operands:[ ("A", a); ("B", b); ("C", c0) ]
   with
   | Error e -> fail "simulate" "%s" (Sw_arch.Error.to_string e)
-  | Ok _ ->
-      let nb = batch_count spec in
-      let data = Sw_arch.Mem.data mem "C" in
-      let mp = spec.Spec.m and np = spec.Spec.n in
-      Ok
-        (Array.init nb (fun bi ->
-             Matrix.init ~rows:orig.Spec.m ~cols:orig.Spec.n ~f:(fun r c ->
-                 data.((bi * mp * np) + (r * np) + c))))
+  | Ok (_, mem) -> Ok (Runner.read mem "C" ~rows:orig.Spec.m ~cols:orig.Spec.n)
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic relations                                                *)
@@ -263,8 +184,8 @@ let metamorphic (case : Case.t) ~a ~b ~c0 ~cref ~csim =
 
 let check_clean (case : Case.t) =
   let spec = case.Case.spec in
-  let a, b, c0 = inputs spec ~seed:case.Case.data_seed in
-  let cref = reference spec ~a ~b ~c0 in
+  let a, b, c0 = Runner.inputs spec ~seed:case.Case.data_seed in
+  let cref = Runner.reference spec ~a ~b ~c:c0 in
   let* () = exec_route spec ~a ~b ~c0 ~cref in
   let* compiled = compile_case case ~options:case.Case.options in
   let* csim = simulate compiled ~a ~b ~c0 in
@@ -340,8 +261,11 @@ let check_gemv ~m ~n ~alpha ~beta ~seed =
       let a = Matrix.random ~rows:m ~cols:n ~seed:(seed + Hashtbl.hash "A") in
       let x = Matrix.random ~rows:n ~cols:1 ~seed:(seed + Hashtbl.hash "x") in
       let y0 = Matrix.random ~rows:m ~cols:1 ~seed:(seed + Hashtbl.hash "y") in
-      let yref = Matrix.copy y0 in
-      Dgemm.gemm ~alpha ~beta ~a ~b:x ~c:yref;
+      let yref =
+        Runner.reference
+          (Spec.make ~alpha ~beta ~m ~n:1 ~k:n ())
+          ~a:[| a |] ~b:[| x |] ~c:[| y0 |]
+      in
       (* route 1: direct interpretation *)
       let src = Csrc.render_gemv ~m ~n in
       match F.Parser.parse src with
@@ -360,25 +284,15 @@ let check_gemv ~m ~n ~alpha ~beta ~seed =
           | () ->
               let* () =
                 compare_batches ~stage:"gemv-exec-vs-ref"
-                  ~what:"direct interpretation" [| yref |] [| fy |]
+                  ~what:"direct interpretation" yref [| fy |]
               in
               (* route 2: the all-broadcast program on the cluster *)
-              let vm = compiled.Gemv.spec.Gemv.vm
-              and vn = compiled.Gemv.spec.Gemv.vn in
-              let mem = Sw_arch.Mem.create () in
-              install_padded mem "A" [| a |] ~batched:false ~rows:vm ~cols:vn;
-              install_padded mem "x" [| x |] ~batched:false ~rows:vn ~cols:1;
-              install_padded mem "y" [| y0 |] ~batched:false ~rows:vm ~cols:1;
-              (match
-                 Sw_arch.Interp.run ~watchdog ~config ~functional:true ~mem
-                   compiled.Gemv.program
-               with
-              | Error e ->
-                  fail "gemv-simulate" "%s" (Sw_arch.Error.to_string e)
-              | Ok _ ->
-                  let data = Sw_arch.Mem.data mem "y" in
-                  let got =
-                    Matrix.init ~rows:m ~cols:1 ~f:(fun i _ -> data.(i))
-                  in
+              match
+                Runner.simulate ~watchdog ~config compiled.Gemv.program
+                  ~operands:[ ("A", [| a |]); ("x", [| x |]); ("y", [| y0 |]) ]
+              with
+              | Error e -> fail "gemv-simulate" "%s" (Sw_arch.Error.to_string e)
+              | Ok (_, mem) ->
                   compare_batches ~stage:"gemv-sim-vs-ref"
-                    ~what:"simulated cluster" [| yref |] [| got |])))
+                    ~what:"simulated cluster" yref
+                    (Runner.read mem "y" ~rows:m ~cols:1)))

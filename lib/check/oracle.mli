@@ -9,10 +9,13 @@
       for [beta = 1] sources, {!Sw_frontend.Extract.recognize} must
       recover the exact spec);
     + {b generated code on the simulated cluster} — {!Sw_core.Compile}
-      through a one-shot session, then a functional {!Sw_arch.Interp} run
-      over zero-padded inputs;
-    + {b the pure-OCaml reference} — {!Sw_blas.Dgemm} on the original
-      (unpadded) data.
+      through a one-shot session, then a functional
+      {!Sw_core.Runner.simulate} run over zero-padded inputs;
+    + {b the pure-OCaml reference} — {!Sw_core.Runner.reference}
+      ({!Sw_blas.Dgemm}) on the original (unpadded) data.
+
+    A case's inputs come from {!Sw_core.Runner.inputs}, and every
+    agreement check is {!Sw_core.Runner.first_mismatch}.
 
     On top of route agreement, metamorphic relations are checked: a
     different optimization set must compute the same result; an epilogue

@@ -15,7 +15,6 @@ type session = {
   debug : bool;
   cache : t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
-  registry : Sw_obs.Metrics.registry option;
   store : Sw_host.Store.t option;
   supervisor : Sw_host.Supervise.t option;
   deadline_s : float option;
@@ -32,16 +31,6 @@ let fail fmt =
   Printf.ksprintf (fun s -> raise (Fail (Sw_arch.Error.Invalid s))) fmt
 
 let flops t = Spec.flops t.spec
-
-(* A session's registry backs runs in contexts that have no ambient
-   registry of their own (a worker domain gets a per-task one from the
-   pool; the owning domain falls back to the session's). *)
-let with_session_registry session f =
-  match (session.registry, Sw_obs.Metrics.current ()) with
-  | Some r, None ->
-      Sw_obs.Metrics.install r;
-      Fun.protect ~finally:Sw_obs.Metrics.uninstall f
-  | _ -> f ()
 
 (* ------------------------------------------------------------------ *)
 (* Durable plans                                                        *)
@@ -67,9 +56,7 @@ let decode_plan payload =
   try Some (Marshal.from_string payload 0 : t) with _ -> None
 
 let run_result_unsupervised ?token (session : session) original =
-  let { config; options; debug; cache; observer; registry = _; store; _ } =
-    session
-  in
+  let { config; options; debug; cache; observer; store; _ } = session in
   (* Tuned-plan resolution happens before the cache key is formed: the
      key covers (spec, options, config), so a tuned and an untuned
      compilation of the same spec can never alias each other's plans. *)
@@ -115,7 +102,6 @@ let run_result_unsupervised ?token (session : session) original =
             match observer with Some f -> f p st | None -> ())
   in
   try
-    with_session_registry session @@ fun () ->
     Sw_obs.Span.ambient ~cat:"compile"
       ~args:
         [

@@ -9,7 +9,7 @@
 
     The single primary entry point is {!run}, which compiles under a
     {!session} — the bundle of machine model, options, plan cache, debug
-    mode, pass observer and metrics registry that {!Session} (the
+    mode, pass observer and durable store that {!Session} (the
     user-facing constructor lives there) shares across host domains — and
     returns a typed result. {!run_exn} is the thin raising wrapper for
     harness code that wants exceptions; service code (the wire layer, the
@@ -33,14 +33,12 @@ type session = {
   cache : t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
       (** fires after every executed pass — the hook behind [--dump-after] *)
-  registry : Sw_obs.Metrics.registry option;
-      (** backs runs in domains that installed no ambient registry *)
   store : Sw_host.Store.t option;
       (** durable plan store, consulted between the in-memory cache and a
           cold compilation; cold plans are written back. Store I/O
           failures degrade the request to memory-only. *)
   supervisor : Sw_host.Supervise.t option;
-      (** service envelope for {!run_result}: admission control, the
+      (** service envelope for {!run}: admission control, the
           per-shape-class circuit breaker, bounded retry and the deadline
           clock *)
   deadline_s : float option;
@@ -61,7 +59,7 @@ type session = {
           options, config), so tuned and untuned plans never alias. *)
 }
 (** See {!Session} for construction and the sharing contract. The record
-    is immutable; its mutable components (cache, registry) are themselves
+    is immutable; its mutable components (cache, store) are themselves
     domain-safe, so one session value can be captured by many domains. *)
 
 val run : session -> Spec.t -> (t, Sw_arch.Error.t) result

@@ -266,46 +266,36 @@ let compile ~config original =
 let flops t = 2 * t.spec.vm * t.spec.vn
 
 let verify ?(seed = 11) t =
-  let open Sw_arch in
   let open Sw_blas in
   let a = Matrix.random ~rows:t.spec.vm ~cols:t.spec.vn ~seed in
   let x = Matrix.random ~rows:t.spec.vn ~cols:1 ~seed:(seed + 1) in
   let y = Matrix.random ~rows:t.spec.vm ~cols:1 ~seed:(seed + 2) in
-  let mem = Mem.create () in
-  let install name (m : Matrix.t) =
-    Mem.alloc_init mem name
-      ~dims:[ m.Matrix.rows; m.Matrix.cols ]
-      ~f:(fun idx -> Matrix.get m idx.(0) idx.(1))
-  in
-  install "A" a;
-  install "x" x;
-  install "y" y;
-  match Interp.run ~config:t.config ~functional:true ~mem t.program with
-  | Error e -> Error (Error.to_string e)
-  | Ok _ ->
-      let yref = Matrix.copy y in
-      Dgemm.gemm ~alpha:t.spec.valpha ~beta:t.spec.vbeta ~a ~b:x ~c:yref;
-      let data = Mem.data mem "y" in
-      let got =
-        Matrix.init ~rows:t.spec.vm ~cols:1 ~f:(fun i _ -> data.(i))
+  match
+    Runner.simulate ~config:t.config t.program
+      ~operands:[ ("A", [| a |]); ("x", [| x |]); ("y", [| y |]) ]
+  with
+  | Error e -> Error (Sw_arch.Error.to_string e)
+  | Ok (_, mem) -> (
+      (* y := alpha A x + beta y is the GEMM (vm x 1 x vn) *)
+      let gemm =
+        Spec.make ~alpha:t.spec.valpha ~beta:t.spec.vbeta ~m:t.spec.vm ~n:1
+          ~k:t.spec.vn ()
       in
-      let diff = Matrix.max_abs_diff yref got in
-      let scale =
-        Array.fold_left (fun acc v -> Float.max acc (abs_float v)) 1.0
-          yref.Matrix.data
-      in
-      if diff > 1e-9 *. scale then
-        Error (Printf.sprintf "max |difference| %.3e (scale %.3e)" diff scale)
-      else Ok ()
+      let yref = Runner.reference gemm ~a:[| a |] ~b:[| x |] ~c:[| y |] in
+      match
+        Runner.first_mismatch yref (Runner.read mem "y" ~rows:t.spec.vm ~cols:1)
+      with
+      | None -> Ok ()
+      | Some (_, diff, scale) ->
+          Error (Printf.sprintf "max |difference| %.3e (scale %.3e)" diff scale))
 
 let measure t =
-  let open Sw_arch in
-  let mem = Runner.timing_memory t.program in
-  match Interp.run ~config:t.config ~functional:false ~mem t.program with
-  | Error e -> raise (Gemv_error (Error.to_string e))
-  | Ok r ->
+  match Runner.simulate ~config:t.config t.program ~operands:[] with
+  | Error e -> raise (Gemv_error (Sw_arch.Error.to_string e))
+  | Ok (r, _) ->
+      let seconds = r.Sw_arch.Interp.seconds in
       {
-        Runner.seconds = r.Interp.seconds;
-        gflops = Interp.gflops ~flops:(flops t) ~seconds:r.Interp.seconds;
+        Runner.seconds;
+        gflops = Sw_arch.Interp.gflops ~flops:(flops t) ~seconds;
         exact = true;
       }

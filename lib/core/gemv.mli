@@ -39,7 +39,10 @@ val compile : config:Sw_arch.Config.t -> spec -> compiled
 val flops : compiled -> int
 
 val verify : ?seed:int -> compiled -> (unit, string) result
-(** Functional run on the simulated cluster against a reference GEMV. *)
+(** Functional {!Runner.simulate} run on the simulated cluster, checked
+    with {!Runner.first_mismatch} against {!Runner.reference} of the
+    equivalent [m x 1 x n] GEMM. *)
 
 val measure : compiled -> Runner.perf
-(** Exact timing simulation (GEMV problems are small enough). *)
+(** Exact timing-only {!Runner.simulate} run (GEMV problems are small
+    enough). Raises {!Gemv_error} on a simulator failure. *)

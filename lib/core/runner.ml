@@ -22,19 +22,17 @@ let () =
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Functional verification                                             *)
+(* Operands, reference and tolerance                                    *)
 (* ------------------------------------------------------------------ *)
 
 let batch_count (spec : Spec.t) =
   match spec.Spec.batch with Some b -> b | None -> 1
 
-(* Allocate and randomly initialize main memory for a compiled program,
-   returning per-batch input matrices for the reference computation. *)
-let setup_memory (compiled : Compile.t) ~seed =
-  let spec = compiled.Compile.spec in
+let inputs (spec : Spec.t) ~seed =
   let nb = batch_count spec in
-  let mk_batch name rows cols =
-    Array.init nb (fun b -> Matrix.random ~rows ~cols ~seed:(seed + (31 * b) + Hashtbl.hash name))
+  let mk name rows cols =
+    Array.init nb (fun b ->
+        Matrix.random ~rows ~cols ~seed:(seed + (31 * b) + Hashtbl.hash name))
   in
   let a_rows, a_cols =
     if spec.Spec.ta then (spec.Spec.k, spec.Spec.m) else (spec.Spec.m, spec.Spec.k)
@@ -42,27 +40,11 @@ let setup_memory (compiled : Compile.t) ~seed =
   let b_rows, b_cols =
     if spec.Spec.tb then (spec.Spec.n, spec.Spec.k) else (spec.Spec.k, spec.Spec.n)
   in
-  let a = mk_batch "A" a_rows a_cols in
-  let b = mk_batch "B" b_rows b_cols in
-  let c = mk_batch "C" spec.Spec.m spec.Spec.n in
-  let mem = Mem.create () in
-  let install name (mats : Matrix.t array) rows cols =
-    let dims =
-      if spec.Spec.batch = None then [ rows; cols ] else [ nb; rows; cols ]
-    in
-    Mem.alloc_init mem name ~dims ~f:(fun idx ->
-        match idx with
-        | [| r; cc |] -> Matrix.get mats.(0) r cc
-        | [| bi; r; cc |] -> Matrix.get mats.(bi) r cc
-        | _ -> assert false)
-  in
-  install "A" a a_rows a_cols;
-  install "B" b b_rows b_cols;
-  install "C" c spec.Spec.m spec.Spec.n;
-  (mem, a, b, c)
+  (mk "A" a_rows a_cols, mk "B" b_rows b_cols, mk "C" spec.Spec.m spec.Spec.n)
 
 let reference (spec : Spec.t) ~a ~b ~c =
   let alpha = spec.Spec.alpha and beta = spec.Spec.beta in
+  let cref = Array.map Matrix.copy c in
   (* normalize stored operands to their logical orientation: element-wise
      prologues commute with transposition *)
   let a = if spec.Spec.ta then Array.map Matrix.transpose a else a in
@@ -70,41 +52,72 @@ let reference (spec : Spec.t) ~a ~b ~c =
   Array.iteri
     (fun i (ai : Matrix.t) ->
       match spec.Spec.fusion with
-      | Spec.No_fusion -> Dgemm.gemm ~alpha ~beta ~a:ai ~b:b.(i) ~c:c.(i)
+      | Spec.No_fusion -> Dgemm.gemm ~alpha ~beta ~a:ai ~b:b.(i) ~c:cref.(i)
       | Spec.Prologue fn ->
-          Dgemm.fused_prologue ~fn ~alpha ~beta ~a:ai ~b:b.(i) ~c:c.(i)
+          Dgemm.fused_prologue ~fn ~alpha ~beta ~a:ai ~b:b.(i) ~c:cref.(i)
       | Spec.Epilogue fn ->
-          Dgemm.fused_epilogue ~fn ~alpha ~beta ~a:ai ~b:b.(i) ~c:c.(i))
-    a
+          Dgemm.fused_epilogue ~fn ~alpha ~beta ~a:ai ~b:b.(i) ~c:cref.(i))
+    a;
+  cref
 
-let extract_c (compiled : Compile.t) mem =
-  let spec = compiled.Compile.spec in
-  let nb = batch_count spec in
-  let data = Mem.data mem "C" in
-  Array.init nb (fun bi ->
-      Matrix.init ~rows:spec.Spec.m ~cols:spec.Spec.n ~f:(fun r cc ->
-          data.((bi * spec.Spec.m * spec.Spec.n) + (r * spec.Spec.n) + cc)))
+(* relative tolerance: the simulator and the BLAS reference accumulate in
+   different orders *)
+let tol = 1e-9
 
-(* Compare the simulated C against the reference; reports the FIRST
-   mismatching batch (the diff/scale pair pinpoints it). *)
-let compare_result (compiled : Compile.t) ~tol ~cref mem =
-  let spec = compiled.Compile.spec in
-  let got = extract_c compiled mem in
-  let rec check bi =
-    if bi >= Array.length cref then Ok ()
+let first_mismatch (expected : Matrix.t array) got =
+  let rec go i =
+    if i >= Array.length expected then None
     else
-      let diff = Matrix.max_abs_diff cref.(bi) got.(bi) in
+      let diff = Matrix.max_abs_diff expected.(i) got.(i) in
       let scale =
         Array.fold_left
           (fun acc x -> Float.max acc (abs_float x))
-          1.0 cref.(bi).Matrix.data
+          1.0 expected.(i).Matrix.data
       in
-      if diff > tol *. scale then
-        Error
-          (Mismatch { batch = bi; diff; scale; spec = Spec.to_string spec })
-      else check (bi + 1)
+      if diff > tol *. scale then Some (i, diff, scale) else go (i + 1)
   in
-  check 0
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* Simulation: main memory in, one interpreter run, main memory out     *)
+(* ------------------------------------------------------------------ *)
+
+(* (batches, rows, cols) of a 2-D or 3-D array extent *)
+let extent (dims : int array) =
+  let n = Array.length dims in
+  ((if n = 3 then dims.(0) else 1), dims.(n - 2), dims.(n - 1))
+
+let install mem (d : Sw_ast.Ast.array_decl) (mats : Matrix.t array) =
+  let get (m : Matrix.t) r c =
+    if r < m.Matrix.rows && c < m.Matrix.cols then Matrix.get m r c else 0.0
+  in
+  Mem.alloc_init mem d.array_name ~dims:d.dims ~f:(function
+    | [| r; c |] -> get mats.(0) r c
+    | [| b; r; c |] -> get mats.(b) r c
+    | _ -> assert false)
+
+let simulate ?trace ?faults ?retry ?watchdog ~config
+    (program : Sw_ast.Ast.program) ~operands =
+  (* arrays without operands stay zero; a timing-only run never touches
+     data, but its arrays must exist for bounds checking of DMA offsets *)
+  let mem = Mem.create () in
+  List.iter
+    (fun (d : Sw_ast.Ast.array_decl) ->
+      match List.assoc_opt d.array_name operands with
+      | Some mats -> install mem d mats
+      | None -> Mem.alloc mem d.array_name ~dims:d.dims)
+    program.Sw_ast.Ast.arrays;
+  Result.map
+    (fun r -> (r, mem))
+    (Interp.run ?trace ?faults ?watchdog ?retry ~config
+       ~functional:(operands <> []) ~mem program)
+
+let read mem name ~rows ~cols =
+  let nb, r_ext, c_ext = extent (Mem.dims mem name) in
+  let data = Mem.data mem name in
+  Array.init nb (fun b ->
+      Matrix.init ~rows ~cols ~f:(fun r c ->
+          data.((b * r_ext * c_ext) + (r * c_ext) + c)))
 
 (* ------------------------------------------------------------------ *)
 (* Execution: the one path every view below goes through                *)
@@ -133,36 +146,30 @@ let mpe_fallback_seconds (compiled : Compile.t) ~at =
   in
   at +. (float_of_int (batch_count spec) *. per_batch)
 
-let timing_memory (program : Sw_ast.Ast.program) =
-  (* timing-only runs never touch data, but arrays must exist for bounds
-     checking of the DMA offsets *)
-  let mem = Mem.create () in
-  List.iter
-    (fun (d : Sw_ast.Ast.array_decl) ->
-      Mem.alloc mem d.Sw_ast.Ast.array_name ~dims:d.Sw_ast.Ast.dims)
-    program.Sw_ast.Ast.arrays;
-  mem
+type mode = Functional of { seed : int } | Timing
 
-type mode = Functional of { seed : int; tol : float } | Timing
-
-(* Set up memory, simulate once, degrade to the MPE when fault recovery is
-   exhausted, and — functionally — compare C against the reference. *)
+(* Simulate once, degrade to the MPE when fault recovery is exhausted, and
+   — functionally — compare C against the reference. *)
 let execute ?faults ?retry ?watchdog ?trace ~mode (compiled : Compile.t) =
-  let mem, check =
+  let spec = compiled.Compile.spec in
+  let operands, check =
     match mode with
-    | Timing -> (timing_memory compiled.Compile.program, fun () -> Ok ())
-    | Functional { seed; tol } ->
-        let mem, a, b, c = setup_memory compiled ~seed in
-        ( mem,
-          fun () ->
-            (* the reference runs on copies of the original inputs *)
-            let cref = Array.map Matrix.copy c in
-            reference compiled.Compile.spec ~a ~b ~c:cref;
-            compare_result compiled ~tol ~cref mem )
+    | Timing -> ([], fun _ -> Ok ())
+    | Functional { seed } ->
+        let a, b, c = inputs spec ~seed in
+        ( [ ("A", a); ("B", b); ("C", c) ],
+          fun mem ->
+            let got = read mem "C" ~rows:spec.Spec.m ~cols:spec.Spec.n in
+            match first_mismatch (reference spec ~a ~b ~c) got with
+            | None -> Ok ()
+            | Some (batch, diff, scale) ->
+                Error
+                  (Mismatch { batch; diff; scale; spec = Spec.to_string spec })
+        )
   in
   match
-    Interp.run ?trace ?faults ?watchdog ?retry ~config:compiled.Compile.config
-      ~functional:(mode <> Timing) ~mem compiled.Compile.program
+    simulate ?trace ?faults ?watchdog ?retry ~config:compiled.Compile.config
+      compiled.Compile.program ~operands
   with
   | Error (Error.Fault_exhausted f as e) ->
       (* graceful degradation: the mesh-side run is abandoned and the whole
@@ -175,7 +182,7 @@ let execute ?faults ?retry ?watchdog ?trace ~mode (compiled : Compile.t) =
           recovery = Mpe_fallback { reason = Error.to_string e };
         }
   | Error e -> Error (Sim e)
-  | Ok r ->
+  | Ok (r, mem) ->
       Result.map
         (fun () ->
           {
@@ -184,15 +191,14 @@ let execute ?faults ?retry ?watchdog ?trace ~mode (compiled : Compile.t) =
               (if r.Interp.retries > 0 then Retried r.Interp.retries
                else No_recovery);
           })
-        (check ())
+        (check mem)
 
-let verify ?(seed = 42) ?(tol = 1e-9) compiled =
-  Result.map ignore (execute ~mode:(Functional { seed; tol }) compiled)
+let verify ?(seed = 42) compiled =
+  Result.map ignore (execute ~mode:(Functional { seed }) compiled)
 
-let verify_resilient ?(seed = 42) ?(tol = 1e-9) ?faults
+let verify_resilient ?(seed = 42) ?faults
     ?(retry = Interp.default_retry) ?watchdog ?trace compiled =
-  execute ?faults ~retry ?watchdog ?trace ~mode:(Functional { seed; tol })
-    compiled
+  execute ?faults ~retry ?watchdog ?trace ~mode:(Functional { seed }) compiled
 
 let timing_resilient ?faults ?(retry = Interp.default_retry) ?watchdog ?trace
     compiled =

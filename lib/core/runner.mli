@@ -1,11 +1,17 @@
 (** Running compiled programs on the simulated cluster.
 
-    Every entry point below is a view over one private execution path:
-    set up main memory (random inputs for functional runs, bare arrays for
-    timing-only ones), run {!Sw_arch.Interp.run} once — whose [Error]
-    already folds double-buffering races into [Race] — degrade to an MPE
-    re-run when fault recovery is exhausted, and, functionally, compare C
-    against the {!Sw_blas} reference.
+    {!simulate} is the one way any generated program — a GEMM plan, a
+    multi-cluster job, a GEMV kernel, an example's layer — is executed:
+    allocate every declared array, copy the given operands into the
+    top-left corner of each (zeros elsewhere), run {!Sw_arch.Interp.run}
+    once, and hand back the result with the memory for {!read}. Its
+    [Error] already folds double-buffering races into [Race].
+
+    Every other entry point below is a view over {!simulate}: {!verify}
+    seeds the inputs with {!inputs}, degrades to an MPE re-run when fault
+    recovery is exhausted, and compares C against {!reference} under
+    {!first_mismatch}. Those three are the repo's only copies of the
+    seeded operands, the reference and the tolerance policy.
 
     {!verify} executes the generated code functionally (real data movement
     through SPM buffers, DMA, RMA and micro kernels) and compares the
@@ -44,11 +50,63 @@ val error_to_string : error -> string
 
 exception Runner_error of error
 
-val verify : ?seed:int -> ?tol:float -> Compile.t -> (unit, error) result
-(** Functional run against the reference; [Error] carries the typed
-    failure — a [Mismatch], or [Sim (Race ...)] listing {e every} detected
-    double-buffering race with its CPE coordinates. Default [tol] is
-    [1e-9] (relative). *)
+(** {2 Simulation} *)
+
+val simulate :
+  ?trace:Sw_arch.Trace.t ->
+  ?faults:Sw_arch.Fault.t ->
+  ?retry:Sw_arch.Interp.retry_policy ->
+  ?watchdog:Sw_arch.Engine.watchdog ->
+  config:Sw_arch.Config.t ->
+  Sw_ast.Ast.program ->
+  operands:(string * Sw_blas.Matrix.t array) list ->
+  (Sw_arch.Interp.result * Sw_arch.Mem.t, Sw_arch.Error.t) result
+(** Run [program] once on the cluster [config] describes. Every array in
+    [program.arrays] is allocated; an operand [(name, batches)] fills
+    batch [i] of [name] from the top-left corner of [batches.(i)], with
+    zeros elsewhere (a 2-D array takes exactly one batch). Arrays without
+    an operand are zero. With [operands = []] the run is timing-only: no
+    data is installed or moved, only DMA offsets are bounds-checked. The
+    optional arguments pass through to {!Sw_arch.Interp.run}. Operands
+    must fit their arrays' extents. *)
+
+val read :
+  Sw_arch.Mem.t -> string -> rows:int -> cols:int -> Sw_blas.Matrix.t array
+(** [read mem name ~rows ~cols] copies out the top-left [rows x cols]
+    corner of every batch of [name] (one matrix for a 2-D array). *)
+
+(** {2 Verification} *)
+
+val inputs :
+  Spec.t ->
+  seed:int ->
+  Sw_blas.Matrix.t array * Sw_blas.Matrix.t array * Sw_blas.Matrix.t array
+(** Seeded random [(a, b, c)], one matrix per batch, at the spec's stored
+    shapes ([A] is [k x m] when transposed, and so on). Batch [i] of array
+    [X] is [Matrix.random] under seed [seed + 31 i + Hashtbl.hash "X"]. *)
+
+val reference :
+  Spec.t ->
+  a:Sw_blas.Matrix.t array ->
+  b:Sw_blas.Matrix.t array ->
+  c:Sw_blas.Matrix.t array ->
+  Sw_blas.Matrix.t array
+(** The {!Sw_blas.Dgemm} result of the spec (alpha, beta, transposition,
+    fusion) per batch, on fresh copies of [c]. *)
+
+val first_mismatch :
+  Sw_blas.Matrix.t array ->
+  Sw_blas.Matrix.t array ->
+  (int * float * float) option
+(** [first_mismatch expected got] is the first batch [i] whose largest
+    absolute difference exceeds [1e-9] times
+    [scale = max 1 (max |expected.(i)|)], as [Some (i, diff, scale)]. *)
+
+val verify : ?seed:int -> Compile.t -> (unit, error) result
+(** Functional run over {!inputs} (default [seed] 42) at the padded
+    shapes, checked against {!reference} with {!first_mismatch}; [Error]
+    carries the typed failure — a [Mismatch], or [Sim (Race ...)] listing
+    {e every} detected double-buffering race with its CPE coordinates. *)
 
 (** {2 Resilient execution} *)
 
@@ -64,7 +122,6 @@ type resilient = { seconds : float; recovery : recovery }
 
 val verify_resilient :
   ?seed:int ->
-  ?tol:float ->
   ?faults:Sw_arch.Fault.t ->
   ?retry:Sw_arch.Interp.retry_policy ->
   ?watchdog:Sw_arch.Engine.watchdog ->
@@ -90,10 +147,6 @@ val timing_resilient :
     overhead of the recovery path (see [bench resilience]). *)
 
 (** {2 Timing} *)
-
-val timing_memory : Sw_ast.Ast.program -> Sw_arch.Mem.t
-(** Main memory for a timing-only run: every declared array allocated
-    (DMA offsets are still bounds-checked), no data installed. *)
 
 val measure : ?force_exact:bool -> Compile.t -> perf
 (** Timing-only simulation. Raises [Runner_error (Sim e)] for every typed

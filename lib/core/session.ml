@@ -8,7 +8,6 @@ type t = Compile.session = {
   debug : bool;
   cache : Compile.t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
-  registry : Sw_obs.Metrics.registry option;
   store : Sw_host.Store.t option;
   supervisor : Sw_host.Supervise.t option;
   deadline_s : float option;
@@ -17,9 +16,8 @@ type t = Compile.session = {
 }
 
 let create ?(options = Options.all_on) ?(debug = false) ?cache
-    ?(no_cache = false) ?(capacity = 64) ?(shards = 8) ?observer ?registry
-    ?store ?store_dir ?budget_bytes ?supervisor ?deadline ?(jobs = 1) ?tuned
-    ~arch () =
+    ?(no_cache = false) ?observer ?store ?store_dir ?supervisor ?deadline
+    ?(jobs = 1) ?tuned ~arch () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Session.create: jobs = %d (need >= 1)" jobs);
   let store =
@@ -28,16 +26,14 @@ let create ?(options = Options.all_on) ?(debug = false) ?cache
         invalid_arg "Session.create: give ~store or ~store_dir, not both"
     | (Some _ as st), None -> st
     | None, Some dir ->
-        Some
-          (Sw_host.Store.open_ ?budget_bytes ~schema:Compile.store_schema ~dir
-             ())
+        Some (Sw_host.Store.open_ ~schema:Compile.store_schema ~dir ())
     | None, None -> None
   in
   let cache =
     match cache with
     | Some _ as c -> c
     | None ->
-        if no_cache then None else Some (Plan_cache.create ~capacity ~shards ())
+        if no_cache then None else Some (Plan_cache.create ~shards:8 ())
   in
   {
     config = arch;
@@ -45,7 +41,6 @@ let create ?(options = Options.all_on) ?(debug = false) ?cache
     debug;
     cache;
     observer;
-    registry;
     store;
     supervisor;
     deadline_s = deadline;
@@ -54,9 +49,6 @@ let create ?(options = Options.all_on) ?(debug = false) ?cache
   }
 
 let with_options t options = { t with options }
-let with_arch t arch = { t with config = arch }
-let with_debug t debug = { t with debug }
-let with_deadline t deadline_s = { t with deadline_s }
 
 let run = Compile.run
 let run_exn = Compile.run_exn

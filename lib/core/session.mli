@@ -2,8 +2,8 @@
 
     A session bundles everything one generator instance needs — the
     machine model, the enabled optimizations, the plan cache, the durable
-    store, debug mode, the pass observer, a metrics registry and the
-    fan-out width — so the CLI, the daemon ([swgemmd]), the sweep and
+    store, debug mode, the pass observer, the service supervisor, the
+    tuning-DB lookup and the fan-out width — so the CLI, the daemon ([swgemmd]), the sweep and
     bench harnesses, the runner and the multi-cluster simulator all
     compile through one value instead of a forest of optional arguments.
 
@@ -20,14 +20,12 @@
 
     {b Sharing contract.} [t] is an immutable record whose mutable
     components are individually domain-safe: the {!Plan_cache} is sharded
-    and mutex-protected, the {!Sw_host.Store} takes one internal mutex,
-    and the registry is only written by the domain that installed it
-    (worker domains get fresh per-task registries from {!Sw_host.Pool}
-    and never touch the session's). One session value is therefore shared
-    as-is by every worker — clone/shard semantics live here and nowhere
-    else. Derive variants ({!with_options}, {!with_arch}) rather than
-    mutating; derived sessions share the parent's cache, which is correct
-    because cache keys include the spec, options and config. *)
+    and mutex-protected, and the {!Sw_host.Store} takes one internal
+    mutex. One session value is therefore shared as-is by every worker —
+    clone/shard semantics live here and nowhere else. Derive variants
+    ({!with_options}) rather than mutating; derived sessions share the
+    parent's cache, which is correct because cache keys include the spec,
+    options and config. *)
 
 type t = Compile.session = {
   config : Sw_arch.Config.t;
@@ -35,7 +33,6 @@ type t = Compile.session = {
   debug : bool;
   cache : Compile.t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
-  registry : Sw_obs.Metrics.registry option;
   store : Sw_host.Store.t option;
   supervisor : Sw_host.Supervise.t option;
   deadline_s : float option;
@@ -48,13 +45,9 @@ val create :
   ?debug:bool ->
   ?cache:Compile.t Plan_cache.t ->
   ?no_cache:bool ->
-  ?capacity:int ->
-  ?shards:int ->
   ?observer:(Pass.t -> Pass.state -> unit) ->
-  ?registry:Sw_obs.Metrics.registry ->
   ?store:Sw_host.Store.t ->
   ?store_dir:string ->
-  ?budget_bytes:int ->
   ?supervisor:Sw_host.Supervise.t ->
   ?deadline:float ->
   ?jobs:int ->
@@ -69,13 +62,12 @@ val create :
     shared with other sessions) is used as-is; [~no_cache:true] disables
     the in-memory cache (every request pays the store read or the cold
     pipeline — one-shot compilations, cache-behavior experiments);
-    otherwise a fresh sharded cache of [capacity] plans (default 64) over
-    [shards] shards (default 8) is created.
+    otherwise a fresh cache of 64 plans over 8 shards is created.
 
     Store resolution: [~store] adopts an already-open store;
     [~store_dir] opens (creating directories as needed) the durable plan
-    store rooted there under {!Compile.store_schema}, with an optional
-    eviction [budget_bytes] — what [--store DIR] builds. Giving both
+    store rooted there under {!Compile.store_schema}, with no eviction
+    budget — what [--store DIR] builds. Giving both
     raises [Invalid_argument]. Call {!warm_start} to preload the
     in-memory cache from it.
 
@@ -88,9 +80,6 @@ val create :
     tuned machine model and options instead of the session's own. *)
 
 val with_options : t -> Options.t -> t
-val with_arch : t -> Sw_arch.Config.t -> t
-val with_debug : t -> bool -> t
-val with_deadline : t -> float option -> t
 
 val run : t -> Spec.t -> (Compile.t, Sw_arch.Error.t) result
 (** {!Compile.run}: the typed-result entry point. *)

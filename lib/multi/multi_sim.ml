@@ -87,39 +87,17 @@ let measure ?(noc = default_noc) ?jobs (session : Session.t) (plan : Plan.t) =
 (* Functional verification                                             *)
 (* ------------------------------------------------------------------ *)
 
-let install_matrix mem name (m : Matrix.t) =
-  Mem.alloc_init mem name
-    ~dims:[ m.Matrix.rows; m.Matrix.cols ]
-    ~f:(fun idx -> Matrix.get m idx.(0) idx.(1))
-
+(* [a], [b], [c] are this job's (unpadded) operand slices; returns the
+   computed C block or a typed error. The job runs on the machine model it
+   was compiled for, which a tuned lookup may have chosen over the
+   session's. *)
 let run_job (session : Session.t) (j : Plan.job) ~a ~b ~c =
-  (* [a], [b], [c] are this job's (unpadded) operand slices; returns the
-     computed C block or a typed error. *)
-  match Compile.run session j.Plan.spec with
-  | Error e -> Error e
-  | Ok compiled -> (
-      let padded = compiled.Compile.spec in
-      let mem = Mem.create () in
-      install_matrix mem "A"
-        (Matrix.pad a ~rows:padded.Spec.m ~cols:padded.Spec.k);
-      install_matrix mem "B"
-        (Matrix.pad b ~rows:padded.Spec.k ~cols:padded.Spec.n);
-      install_matrix mem "C"
-        (Matrix.pad c ~rows:padded.Spec.m ~cols:padded.Spec.n);
-      match
-        Interp.run ~config:session.Session.config ~functional:true ~mem
-          compiled.Compile.program
-      with
-      | Error e -> Error e
-      | Ok _ ->
-          let data = Mem.data mem "C" in
-          let full =
-            Matrix.init ~rows:padded.Spec.m ~cols:padded.Spec.n ~f:(fun i jj ->
-                data.((i * padded.Spec.n) + jj))
-          in
-          Ok
-            (Matrix.unpad full ~rows:j.Plan.spec.Spec.m
-               ~cols:j.Plan.spec.Spec.n))
+  let s = j.Plan.spec in
+  Result.bind (Compile.run session s) (fun compiled ->
+      Runner.simulate ~config:compiled.Compile.config compiled.Compile.program
+        ~operands:[ ("A", [| a |]); ("B", [| b |]); ("C", [| c |]) ]
+      |> Result.map (fun (_, mem) ->
+             (Runner.read mem "C" ~rows:s.Spec.m ~cols:s.Spec.n).(0)))
 
 let verify ?(seed = 7) ?jobs (session : Session.t) (plan : Plan.t) =
   let spec = plan.Plan.original in
@@ -163,25 +141,17 @@ let verify ?(seed = 7) ?jobs (session : Session.t) (plan : Plan.t) =
   match reassemble plan.Plan.jobs outcomes with
   | Error e -> Error e
   | Ok () ->
-      (* reference on the whole problem *)
-      let cref = Matrix.copy c in
-      (match spec.Spec.fusion with
-      | Spec.No_fusion ->
-          Dgemm.gemm ~alpha:spec.Spec.alpha ~beta:spec.Spec.beta ~a ~b ~c:cref
-      | Spec.Prologue fn ->
-          Dgemm.fused_prologue ~fn ~alpha:spec.Spec.alpha ~beta:spec.Spec.beta
-            ~a ~b ~c:cref
-      | Spec.Epilogue fn ->
-          Dgemm.fused_epilogue ~fn ~alpha:spec.Spec.alpha ~beta:spec.Spec.beta
-            ~a ~b ~c:cref);
-      let diff = Matrix.max_abs_diff cref result in
-      let scale =
-        Array.fold_left (fun acc x -> Float.max acc (abs_float x)) 1.0
-          cref.Matrix.data
+      (* reference on the whole problem; the jobs compute the
+         untransposed product of the sliced operands *)
+      let cref =
+        Runner.reference
+          { spec with Spec.ta = false; tb = false }
+          ~a:[| a |] ~b:[| b |] ~c:[| c |]
       in
-      if diff > 1e-9 *. scale then
-        Error
-          (Error.Invalid
-             (Printf.sprintf "reassembled C differs by %.3e (scale %.3e)" diff
-                scale))
-      else Ok ()
+      match Runner.first_mismatch cref [| result |] with
+      | None -> Ok ()
+      | Some (_, diff, scale) ->
+          Error
+            (Error.Invalid
+               (Printf.sprintf "reassembled C differs by %.3e (scale %.3e)"
+                  diff scale))

@@ -50,9 +50,12 @@ val verify :
   Plan.t ->
   (unit, Sw_arch.Error.t) result
 (** Functional: global random operands are sliced per the plan, every job
-    executes through {!Sw_core.Runner.verify}-equivalent machinery on its
-    own simulated cluster, the C blocks are reassembled and compared with
-    the reference on the whole problem. Use a session with a tiny config.
+    executes through {!Sw_core.Runner.simulate} on its own simulated
+    cluster, the C blocks are reassembled and compared with
+    {!Sw_core.Runner.reference} on the whole problem under
+    {!Sw_core.Runner.first_mismatch}. Use a session with a tiny config.
+    Each job runs on the machine model it was compiled for — the
+    session's, or the one a [tuned] lookup chose for the job's shape.
 
     Failures are typed values: a job's compile or simulator error passes
     through unchanged (first failing job in plan order wins); a

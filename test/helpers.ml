@@ -59,3 +59,11 @@ let check_array_close ?(tol = 1e-9) msg expected actual =
       if abs_float (e -. a) > tol *. scale then
         Alcotest.failf "%s: index %d: expected %.12g, got %.12g" msg i e a)
     expected
+
+(* Compile under a throwaway cacheless session; raises Sim_error on
+   failure. *)
+let compile_exn ?options ?debug ?cache ?observer ~config spec =
+  Sw_core.Compile.run_exn
+    (Sw_core.Session.create ?options ?debug ?cache ~no_cache:true ?observer
+       ~arch:config ())
+    spec

@@ -5,14 +5,7 @@
 open Sw_core
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
+let compile_exn = Helpers.compile_exn
 
 let check = Alcotest.check
 let qtest = Helpers.qtest
@@ -109,7 +102,6 @@ let test_drop_forever_deadlocks_without_retry () =
   (* every reply permanently lost and no retry policy: the run must end in
      a deadlock diagnosis, not a hang *)
   let compiled = compile (spec_mnk ~m:8 ~n:8 ~k:8 ()) in
-  let mem = Runner.timing_memory compiled.Compile.program in
   let spec =
     {
       (Fault.spec_with ~kinds:[ Fault.Drop_reply ] Fault.default_spec) with
@@ -119,8 +111,8 @@ let test_drop_forever_deadlocks_without_retry () =
   in
   let faults = Fault.plan ~spec ~seed:1 () in
   match
-    Interp.run ~faults ~watchdog ~config:tiny ~functional:false ~mem
-      compiled.Compile.program
+    Runner.simulate ~faults ~watchdog ~config:tiny compiled.Compile.program
+      ~operands:[]
   with
   | Error (Error.Deadlock d) ->
       Alcotest.(check bool) "blocked fibers listed" true (d.Error.fibers <> []);

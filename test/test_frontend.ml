@@ -4,12 +4,7 @@
 open Sw_frontend
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ~config spec =
-  Sw_core.Compile.run_exn
-    (Sw_core.Session.create ~no_cache:true ~arch:config ()) spec
-
+let compile_exn = Helpers.compile_exn
 
 let check = Alcotest.check
 

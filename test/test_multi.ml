@@ -143,6 +143,19 @@ let test_measure_reports_jobs () =
   check Alcotest.int "six per-cluster times" 6
     (List.length s.Multi_sim.per_cluster_s)
 
+(* A tuned lookup may compile a job for another machine model than the
+   session's; each job must then run on the model it was compiled for. *)
+let test_verify_tuned ~session_arch ~tuned_arch () =
+  let session =
+    Session.create ~no_cache:true
+      ~tuned:(fun _ -> Some (tuned_arch, Options.all_on))
+      ~arch:session_arch ()
+  in
+  let p = plan_ok (Spec.make ~m:24 ~n:16 ~k:12 ()) ~clusters:6 in
+  match Multi_sim.verify ~jobs:1 session p with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Error.to_string e)
+
 let tests =
   [
     ("grid choice", `Quick, test_grid_choice);
@@ -154,6 +167,14 @@ let tests =
     ("verify fused epilogue", `Quick, test_verify_fused);
     ("verify fused prologue", `Quick, test_verify_prologue_fused);
     ("verify single cluster", `Quick, test_verify_single_cluster);
+    ( "verify under a tuned 4x4 mesh",
+      `Quick,
+      test_verify_tuned ~session_arch:tiny ~tuned_arch:(Config.tiny ~mesh:4 ())
+    );
+    ( "verify under a tuned 2x2 mesh",
+      `Quick,
+      test_verify_tuned ~session_arch:(Config.tiny ~mesh:4 ()) ~tuned_arch:tiny
+    );
     ("scaling over clusters", `Quick, test_measure_scaling);
     ("per-cluster reporting", `Quick, test_measure_reports_jobs);
   ]
