@@ -5,19 +5,11 @@
 open Sw_core
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let shapes = [ 512; 1024; 2048; 4096; 8192; 15360 ]
 
 let () =
   let config = Config.sw26010pro in
+  let session = Session.create ~arch:config () in
   Printf.printf "peak = %.2f Gflops\n%!" (Config.peak_gflops config);
   Printf.printf "%-8s" "shape";
   List.iter (fun (name, _) -> Printf.printf "%16s" name) Options.breakdown;
@@ -29,7 +21,7 @@ let () =
       List.iteri
         (fun i (_, options) ->
           let spec = Spec.make ~m:s ~n:s ~k:s () in
-          let c = compile_exn ~options ~config spec in
+          let c = Compile.run_exn (Session.with_options session options) spec in
           let p = Runner.measure c in
           sums.(i) <- sums.(i) +. p.Runner.gflops;
           Printf.printf "%16.2f%!" p.Runner.gflops)
@@ -42,7 +34,7 @@ let () =
   Printf.printf "paper means: 84.89 / 240.39 / 1052.94 / 1849.06; best 90.14%% of peak\n";
   let best =
     let spec = Spec.make ~m:15360 ~n:15360 ~k:15360 () in
-    (Runner.measure (compile_exn ~config spec)).Runner.gflops
+    (Runner.measure (Compile.run_exn session spec)).Runner.gflops
   in
   Printf.printf "15360^3 full pipeline: %.2f Gflops = %.2f%% of peak\n" best
     (100.0 *. best /. Config.peak_gflops config)

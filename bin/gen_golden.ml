@@ -6,20 +6,14 @@
    so a generator change that silently alters the goldens fails CI until
    they are regenerated and reviewed. *)
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ~config spec =
-  Sw_core.Compile.run_exn
-    (Sw_core.Session.create ~no_cache:true ~arch:config ()) spec
-
 let () =
   let dir =
     if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden"
   in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let config = Sw_arch.Config.sw26010pro in
+  let session = Sw_core.Session.create ~arch:Sw_arch.Config.sw26010pro () in
   let spec = Sw_core.Spec.make ~m:512 ~n:512 ~k:512 () in
-  let c = compile_exn ~config spec in
+  let c = Sw_core.Compile.run_exn session spec in
   let write p s =
     Out_channel.with_open_text (Filename.concat dir p) (fun oc ->
         output_string oc s)
@@ -28,7 +22,7 @@ let () =
   write "gemm512_cpe.c" (Sw_core.Cemit.cpe_file c);
   write "gemm512_mpe.c" (Sw_core.Cemit.mpe_file c);
   let fused =
-    compile_exn ~config
+    Sw_core.Compile.run_exn session
       (Sw_core.Spec.make
          ~fusion:(Sw_core.Spec.Epilogue "relu")
          ~batch:2 ~m:512 ~n:512 ~k:512 ())

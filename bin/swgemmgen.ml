@@ -443,6 +443,12 @@ let verify_cmd =
 (* perf                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* One measured rate, as perf and profile print it. *)
+let print_gflops config ~label (p : Runner.perf) =
+  Printf.printf "  %s%10.2f Gflops (%5.2f%% of peak)%s\n" label p.gflops
+    (100.0 *. p.gflops /. Config.peak_gflops config)
+    (if p.exact then "" else "  [extrapolated]")
+
 let perf_cmd =
   let run spec options config =
     Result.map
@@ -451,10 +457,7 @@ let perf_cmd =
         Printf.printf "%s [%s]\n"
           (Spec.to_string compiled.Compile.spec)
           (Options.name options);
-        Printf.printf "  generated: %10.2f Gflops (%5.2f%% of peak)%s\n"
-          p.Runner.gflops
-          (100.0 *. p.Runner.gflops /. Config.peak_gflops config)
-          (if p.Runner.exact then "" else "  [extrapolated]");
+        print_gflops config ~label:"generated: " p;
         Printf.printf "  xMath:     %10.2f Gflops (%5.2f%% of peak)\n"
           x.Sw_xmath.Xmath.gflops
           (100.0 *. x.Sw_xmath.Xmath.gflops /. Config.peak_gflops config);
@@ -559,10 +562,7 @@ let profile_cmd =
             Printf.printf "profile of %s [%s]\n"
               (Spec.to_string compiled.Compile.spec)
               (Options.name options);
-            Printf.printf "  %10.2f Gflops (%5.2f%% of peak)%s\n"
-              perf.Runner.gflops
-              (100.0 *. perf.Runner.gflops /. Config.peak_gflops config)
-              (if perf.Runner.exact then "" else "  [extrapolated]");
+            print_gflops config ~label:"" perf;
             print_string (Sw_obs.Profile.to_text prof);
             Printf.printf
               "  roofline: AI %.2f flop/B vs ridge %.2f -> %s (attainable \

@@ -11,16 +11,8 @@
 open Sw_core
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let config = Config.sw26010pro
+let session = Session.create ~arch:config ()
 
 let () =
   print_endline "== batched GEMM: attention-style workloads (paper §8.3) ==\n";
@@ -28,7 +20,7 @@ let () =
   List.iter
     (fun (batch, m, n, k) ->
       let spec = Spec.make ~batch ~m ~n ~k () in
-      let compiled = compile_exn ~config spec in
+      let compiled = Compile.run_exn session spec in
       let ours = (Runner.measure compiled).Runner.gflops in
       let lib = (Sw_xmath.Xmath.measure config spec).Sw_xmath.Xmath.gflops in
       Printf.printf "%-34s %14.2f %14.2f %8.2fx\n"
@@ -57,7 +49,8 @@ let () =
   let tiny = Config.tiny () in
   match
     Runner.verify
-      (compile_exn ~config:tiny (Spec.make ~batch:3 ~m:16 ~n:8 ~k:12 ()))
+      (Compile.run_exn (Session.create ~arch:tiny ())
+         (Spec.make ~batch:3 ~m:16 ~n:8 ~k:12 ()))
   with
   | Ok () -> print_endline "functional check (batch=3): PASSED"
   | Error e -> failwith (Runner.error_to_string e)

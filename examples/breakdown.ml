@@ -10,16 +10,8 @@
 open Sw_core
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let config = Config.sw26010pro
+let session = Session.create ~arch:config ()
 let spec = Spec.make ~m:4096 ~n:4096 ~k:4096 ()
 
 let () =
@@ -28,7 +20,7 @@ let () =
   let previous = ref None in
   List.iter
     (fun (name, options) ->
-      let compiled = compile_exn ~options ~config spec in
+      let compiled = Compile.run_exn (Session.with_options session options) spec in
       let g = (Runner.measure compiled).Runner.gflops in
       let speedup =
         match !previous with
@@ -47,7 +39,10 @@ let () =
      tree with peeled filters and double-buffer subscripts *)
   let dump title options =
     Printf.printf "---- schedule tree: %s ----\n" title;
-    let compiled = compile_exn ~options ~config (Spec.make ~m:512 ~n:512 ~k:512 ()) in
+    let compiled =
+      Compile.run_exn (Session.with_options session options)
+        (Spec.make ~m:512 ~n:512 ~k:512 ())
+    in
     print_string (Sw_tree.Tree.to_string compiled.Compile.tree);
     print_newline ()
   in
@@ -58,7 +53,8 @@ let () =
      micro kernel, (D) DMA, (R) RMA, (w) blocked on a reply, (b) barrier *)
   let lane options =
     let compiled =
-      compile_exn ~options ~config (Spec.make ~m:512 ~n:512 ~k:2048 ())
+      Compile.run_exn (Session.with_options session options)
+        (Spec.make ~m:512 ~n:512 ~k:2048 ())
     in
     let trace, perf = Runner.traced compiled in
     let mesh = (config.Config.mesh_rows, config.Config.mesh_cols) in

@@ -11,24 +11,16 @@
 open Sw_core
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let config = Config.sw26010pro
 let peak = Config.peak_gflops config
+let session = Session.create ~arch:config ()
 
 let layer_shapes =
   (* (batch tokens x features) x (features x hidden) projections *)
   [ (2048, 2048, 5120); (4096, 4096, 10240); (8192, 8192, 8192) ]
 
 let report name spec =
-  let compiled = compile_exn ~config spec in
+  let compiled = Compile.run_exn session spec in
   let ours = (Runner.measure compiled).Runner.gflops in
   let lib = (Sw_xmath.Xmath.measure config spec).Sw_xmath.Xmath.gflops in
   Printf.printf "  %-28s ours %8.2f Gflops (%4.1f%%)  baseline %8.2f Gflops  -> %.2fx\n"
@@ -52,11 +44,11 @@ let () =
 
   (* functional sanity at reduced scale: fused code must match the fused
      reference bit-for-bit up to floating-point tolerance *)
-  let tiny = Config.tiny () in
+  let tiny = Session.create ~arch:(Config.tiny ()) () in
   List.iter
     (fun fusion ->
       let spec = Spec.make ~fusion ~m:16 ~n:16 ~k:16 () in
-      match Runner.verify (compile_exn ~config:tiny spec) with
+      match Runner.verify (Compile.run_exn tiny spec) with
       | Ok () ->
           Printf.printf "functional check (%s): PASSED\n" (Spec.to_string spec)
       | Error e -> failwith (Runner.error_to_string e))

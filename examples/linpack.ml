@@ -16,16 +16,8 @@ open Sw_core
 open Sw_arch
 open Sw_blas
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let tiny = Config.tiny ()
+let tiny_session = Session.create ~arch:tiny ()
 
 (* C := C - A x B through the compiled kernel on the simulated cluster. *)
 let simulated_gemm_update ~(a : Matrix.t) ~(b : Matrix.t) ~(c : Matrix.t) =
@@ -33,7 +25,7 @@ let simulated_gemm_update ~(a : Matrix.t) ~(b : Matrix.t) ~(c : Matrix.t) =
     Spec.make ~alpha:(-1.0) ~beta:1.0 ~m:c.Matrix.rows ~n:c.Matrix.cols
       ~k:a.Matrix.cols ()
   in
-  let compiled = compile_exn ~config:tiny spec in
+  let compiled = Compile.run_exn tiny_session spec in
   match
     Runner.simulate ~config:tiny compiled.Compile.program
       ~operands:[ ("A", [| a |]); ("B", [| b |]); ("C", [| c |]) ]
@@ -69,13 +61,13 @@ let () =
   else print_endline "  solver: PASSED\n";
 
   (* Part 2: HPL-style projection on the real machine model. *)
-  let config = Config.sw26010pro in
+  let session = Session.create ~arch:Config.sw26010pro () in
   print_endline "HPL-style projection (one cluster):";
   Printf.printf "  %-10s %16s %18s\n" "n" "GEMM (Gflops)" "est. HPL time (s)";
   List.iter
     (fun nn ->
       let spec = Spec.make ~m:nn ~n:nn ~k:nn () in
-      let g = (Runner.measure (compile_exn ~config spec)).Runner.gflops in
+      let g = (Runner.measure (Compile.run_exn session spec)).Runner.gflops in
       let hpl_flops = 2.0 /. 3.0 *. (float_of_int nn ** 3.0) in
       Printf.printf "  %-10d %16.2f %18.2f\n" nn g (hpl_flops /. (g *. 1e9)))
     [ 8192; 15360; 32768 ];

@@ -14,23 +14,15 @@ open Sw_core
 open Sw_arch
 open Sw_blas
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let config = Config.tiny () (* functional run at reduced scale *)
+let session = Session.create ~arch:config ()
 
 (* one generated, simulated, verified layer: C = fn-fused GEMM *)
 let run_layer ~fusion ~a ~b ~out_rows ~out_cols =
   let spec =
     Spec.make ~beta:0.0 ~fusion ~m:out_rows ~n:out_cols ~k:a.Matrix.cols ()
   in
-  let compiled = compile_exn ~config spec in
+  let compiled = Compile.run_exn session spec in
   (* beta = 0: C starts as the zero array simulate allocates *)
   match
     Runner.simulate ~config compiled.Compile.program
@@ -74,12 +66,13 @@ let () =
 
   (* headline: what the same two layers cost at production scale *)
   let big = Config.sw26010pro in
+  let big_session = Session.create ~arch:big () in
   print_endline "\nat production scale (4096 tokens, 8192 -> 8192 -> 8192):";
   List.iter
     (fun (name, fusion) ->
       let spec = Spec.make ~beta:0.0 ~fusion ~m:4096 ~n:8192 ~k:8192 () in
       let ours =
-        (Runner.measure (compile_exn ~config:big spec)).Runner.gflops
+        (Runner.measure (Compile.run_exn big_session spec)).Runner.gflops
       in
       let baseline = (Sw_xmath.Xmath.measure big spec).Sw_xmath.Xmath.gflops in
       Printf.printf "  %-24s %8.2f Gflops fused vs %8.2f library+MPE (%.2fx)\n"

@@ -12,15 +12,6 @@
 open Sw_core
 open Sw_arch
 
-(* Compile under a throwaway cacheless session; raises Sim_error on
-   failure (the old compile_exn convenience). *)
-let compile_exn ?options ?debug ?cache ?observer ~config spec =
-  Compile.run_exn
-    (Session.create ?options ?debug ?cache ~no_cache:true ?observer
-       ~arch:config ())
-    spec
-
-
 let source =
   {|
 void gemm(double A[2048][2048], double B[2048][2048], double C[2048][2048]) {
@@ -46,8 +37,9 @@ let () =
 
   (* 2. compile for the SW26010Pro model, timing the generation (§8.5) *)
   let config = Config.sw26010pro in
+  let session = Session.create ~arch:config () in
   let compiled, gen_s =
-    Compile.generation_seconds (fun () -> compile_exn ~config spec)
+    Compile.generation_seconds (fun () -> Compile.run_exn session spec)
   in
   Printf.printf "generated athread code in %.1f ms (vs months by hand, §8.5)\n"
     (1000.0 *. gen_s);
@@ -59,7 +51,9 @@ let () =
   (* 3. functional validation: the same problem at reduced scale runs on a
      2x2-mesh cluster simulation with real data movement *)
   let tiny = Config.tiny () in
-  let small = compile_exn ~config:tiny (Spec.make ~m:16 ~n:16 ~k:16 ()) in
+  let small =
+    Compile.run_exn (Session.create ~arch:tiny ()) (Spec.make ~m:16 ~n:16 ~k:16 ())
+  in
   (match Runner.verify small with
   | Ok () -> print_endline "functional check vs reference DGEMM: PASSED"
   | Error e -> failwith ("functional check FAILED: " ^ Runner.error_to_string e));

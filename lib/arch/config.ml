@@ -72,7 +72,7 @@ let peak_flops_per_s c =
 let peak_gflops c = peak_flops_per_s c /. 1e9
 
 let micro_kernel_seconds c ~style ~m ~n ~k =
-  let flops = float_of_int (2 * m * n * k) in
+  let flops = float_of_int (Sw_kernels.Micro.flops ~m ~n ~k) in
   let rate =
     match style with
     | `Asm -> c.cpe_freq_hz *. c.cpe_simd_flops_per_cycle *. c.micro_kernel_efficiency

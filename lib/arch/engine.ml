@@ -140,7 +140,6 @@ let create () =
 let now t = t.clock
 
 let set_watchdog t w = t.watchdog <- w
-let events_run t = t.events_run
 
 let push t ~at payload =
   if at < t.clock then
@@ -318,7 +317,6 @@ let new_counter ?name eng =
   c
 
 let counter_value c = c.value
-let counter_name c = c.cname
 
 let counter_reset c =
   if List.exists (fun w -> not w.woken) c.waiters then
@@ -379,5 +377,3 @@ let transfer ?faults ch ~bytes ~on_complete =
   let finish = drained +. ch.latency in
   push t ~at:finish on_complete;
   (start, finish)
-
-let channel_busy_until ch = ch.busy_until

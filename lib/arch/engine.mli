@@ -40,9 +40,6 @@ val run : t -> float
 val schedule : t -> after:float -> (unit -> unit) -> unit
 (** Schedule a plain closure (not a fiber: it must not perform effects). *)
 
-val events_run : t -> int
-(** Events executed so far (across {!run} calls). *)
-
 (** {2 Watchdog} *)
 
 type watchdog = {
@@ -64,9 +61,6 @@ type counter
 val new_counter : ?name:string -> t -> counter
 (** Counters are registered with the engine so deadlock diagnoses can name
     them; [name] defaults to ["counter-<n>"]. *)
-
-val counter_value : counter -> int
-val counter_name : counter -> string
 
 val counter_reset : counter -> unit
 (** Reset to zero. Raises {!Error.Sim_error} ([Invalid]) if fibers are
@@ -114,5 +108,3 @@ val transfer :
     because the channel is deterministic. With [faults], the occupancy is
     perturbed by the plan's jitter/stall decisions; without, the timing is
     bit-identical to the unfaulted model. *)
-
-val channel_busy_until : channel -> float

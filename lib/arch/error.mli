@@ -73,8 +73,7 @@ type t =
       cooldown_s : float;
     }
       (** the per-shape-class circuit breaker is open after repeated
-          failures; requests are rejected (or served degraded) until the
-          cooldown elapses *)
+          failures; requests are rejected until the cooldown elapses *)
 
 exception Sim_error of t
 
@@ -91,10 +90,6 @@ val retryable : t -> bool
     structural failures and supervisor verdicts are not. *)
 
 val to_string : t -> string
-val conflict_to_string : conflict -> string
-val race_to_string : race -> string
-val blocked_to_string : blocked -> string
-val diagnosis_to_string : diagnosis -> string
 
 val compare_race : race -> race -> int
 (** Deterministic order: CPE coordinates, then buffer/copy, then time. *)

@@ -71,9 +71,6 @@ type disposition =
 
 val reply_disposition : t -> disposition
 
-val is_straggler : t -> rid:int -> cid:int -> bool
-(** Membership is a pure function of the plan seed and the coordinates. *)
-
 val kernel_slowdown : t -> rid:int -> cid:int -> float
 
 val flip : t -> elems:int -> (int * float) option

@@ -59,5 +59,3 @@ let offset t name ?batch ~row ~col () =
   | [| _; _ |], Some _ -> bounds name "batch index into 2-D array %s" name
   | [| _; _; _ |], None -> bounds name "missing batch index for 3-D array %s" name
   | _ -> assert false
-
-let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t []

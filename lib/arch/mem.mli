@@ -17,7 +17,6 @@ val alloc : t -> string -> dims:int list -> unit
 val alloc_init : t -> string -> dims:int list -> f:(int array -> float) -> unit
 (** Allocate and initialize element-wise from the index vector. *)
 
-val find : t -> string -> array_info
 val data : t -> string -> float array
 val dims : t -> string -> int array
 
@@ -28,5 +27,3 @@ val offset : t -> string -> ?batch:int -> row:int -> col:int -> unit -> int
 (** Flat element offset of [(batch,) row, col]; bounds-checked. Raises
     {!Error.Sim_error} ([Bounds]) on an out-of-range or mis-batched
     access. *)
-
-val names : t -> string list

@@ -9,9 +9,6 @@
     as Chrome trace-event tracks — pid {!Sw_obs.Span.sim_pid}, one tid
     per CPE in row-major order — for Perfetto. *)
 
-val track_name : rid:int -> cid:int -> string
-
-val samples : Trace.t -> Sw_obs.Profile.sample list
 val profile : Trace.t -> Sw_obs.Profile.t
 
 val to_chrome : Trace.t -> mesh:int * int -> Sw_obs.Span.sink -> unit

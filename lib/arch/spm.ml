@@ -55,9 +55,6 @@ let alloc t name ~rows ~cols ~copies =
       last_read = Array.make copies none;
     }
 
-let used_bytes t = t.used
-let capacity_bytes t = t.capacity
-
 let find t name =
   match Hashtbl.find_opt t.buffers name with
   | Some b -> b
@@ -77,8 +74,6 @@ let tile t name ~copy =
     failwith "Spm.tile: no data in timing-only mode";
   b.data.(c)
 
-let tile_rows t name = (find t name).rows
-let tile_cols t name = (find t name).cols
 let copies t name = (find t name).copies
 
 let overlap (s1, f1) (s2, f2) = s1 < f2 && s2 < f1

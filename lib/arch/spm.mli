@@ -18,14 +18,9 @@ val alloc : t -> string -> rows:int -> cols:int -> copies:int -> unit
 (** Raises {!Error.Sim_error} ([Overflow]) when the allocation exceeds
     remaining capacity. *)
 
-val used_bytes : t -> int
-val capacity_bytes : t -> int
-
 val tile : t -> string -> copy:int -> float array
 (** The backing array of one copy ([functional] mode only). *)
 
-val tile_rows : t -> string -> int
-val tile_cols : t -> string -> int
 val copies : t -> string -> int
 
 val note_write : t -> string -> copy:int -> start:float -> finish:float -> unit

@@ -6,8 +6,6 @@ type kind =
   | Wait_reply of { reply : string; rma : bool }
   | Barrier
 
-let is_wait = function Wait_reply _ -> true | _ -> false
-
 type event = { rid : int; cid : int; kind : kind; start : float; finish : float }
 
 type t = { mutable evs : event list; mutable count : int }

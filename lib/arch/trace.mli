@@ -19,8 +19,6 @@ type kind =
           uses it to attribute exposed latency to a pipeline level. *)
   | Barrier
 
-val is_wait : kind -> bool
-
 type event = { rid : int; cid : int; kind : kind; start : float; finish : float }
 
 type t

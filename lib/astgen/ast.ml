@@ -29,15 +29,6 @@ let spm_bytes p =
     (fun acc d -> acc + (8 * d.rows * d.cols * d.copies))
     0 p.spm_decls
 
-let rec count_ops_block b = List.fold_left (fun acc s -> acc + count_ops_stmt s) 0 b
-
-and count_ops_stmt = function
-  | For { body; _ } | Let { body; _ } | If { body; _ } -> count_ops_block body
-  | Op _ | User _ -> 1
-  | Comment _ -> 0
-
-let count_ops = count_ops_block
-
 let free_params p =
   let acc = ref [] in
   let add_aff a = acc := Aff.free_params a @ !acc in
@@ -132,5 +123,3 @@ let to_string block =
   in
   List.iter (go 0) block;
   Buffer.contents buffer
-
-let pp fmt b = Format.pp_print_string fmt (to_string b)

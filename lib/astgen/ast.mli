@@ -45,13 +45,8 @@ type program = {
 val spm_bytes : program -> int
 (** Total SPM bytes required per CPE (8-byte doubles). *)
 
-val count_ops : block -> int
-(** Number of [Op]/[User] nodes, statically. *)
-
 val free_params : program -> string list
 (** Parameter names referenced by the body (excluding [Rid]/[Cid]). *)
 
 val to_string : block -> string
 (** Indented pseudo-C rendering (used in dumps and golden tests). *)
-
-val pp : Format.formatter -> block -> unit

@@ -25,25 +25,6 @@ let gemm ~alpha ~beta ~a ~b ~c =
     done
   done
 
-let gemm_t ~ta ~tb ~alpha ~beta ~a ~b ~c =
-  let m = c.Matrix.rows and n = c.Matrix.cols in
-  let k = if ta then a.Matrix.rows else a.Matrix.cols in
-  let ka = if ta then (a.Matrix.cols, a.Matrix.rows) else (a.Matrix.rows, a.Matrix.cols) in
-  let kb = if tb then (b.Matrix.cols, b.Matrix.rows) else (b.Matrix.rows, b.Matrix.cols) in
-  if ka <> (m, k) || kb <> (k, n) then
-    invalid_arg "Dgemm.gemm_t: incompatible shapes";
-  let ga i p = if ta then Matrix.get a p i else Matrix.get a i p in
-  let gb p j = if tb then Matrix.get b j p else Matrix.get b p j in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      let acc = ref (beta *. Matrix.get c i j) in
-      for p = 0 to k - 1 do
-        acc := !acc +. (alpha *. ga i p *. gb p j)
-      done;
-      Matrix.set c i j !acc
-    done
-  done
-
 let gemm_flops ~m ~n ~k = 2 * m * n * k
 
 let batched ~alpha ~beta ~a ~b ~c =

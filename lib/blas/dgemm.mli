@@ -6,13 +6,6 @@ val gemm :
   alpha:float -> beta:float -> a:Matrix.t -> b:Matrix.t -> c:Matrix.t -> unit
 (** [C := alpha * A x B + beta * C] in place; shapes are checked. *)
 
-val gemm_t :
-  ta:bool -> tb:bool -> alpha:float -> beta:float ->
-  a:Matrix.t -> b:Matrix.t -> c:Matrix.t -> unit
-(** The full BLAS form [C := alpha * op(A) x op(B) + beta * C] where
-    [op(X)] is [X] or its transpose. With [ta] the stored [a] has shape
-    [k x m]; with [tb] the stored [b] has shape [n x k]. *)
-
 val gemm_flops : m:int -> n:int -> k:int -> int
 (** [2*m*n*k] — the count the paper divides by execution time. *)
 

@@ -3,7 +3,6 @@ module Json = Sw_obs.Json
 
 type config_id = string
 
-let all_config_ids = [ "tiny2"; "tiny2-deep"; "tiny4" ]
 let config_id_to_string id = id
 
 (* "preset@MxNxK" overrides the preset's micro-kernel shape — the form

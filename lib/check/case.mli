@@ -15,12 +15,6 @@ type config_id = string
     model {!Sw_arch.Config.validate} accepts) are valid —
     {!config_id_of_string} is the checked constructor. *)
 
-val all_config_ids : config_id list
-(** The default machine pool the fuzzer draws from — all functional-test
-    scale: ["tiny2"] (2x2 mesh, 4x4x2 micro kernel), ["tiny2-deep"] (same
-    mesh, deeper 4x4x4 kernel) and ["tiny4"] (4x4 mesh). *)
-
-val config_id_to_string : config_id -> string
 val config_id_of_string : string -> config_id option
 (** [Some id] iff the registry knows the name. *)
 

@@ -32,8 +32,6 @@ val log_file_arg : string option Term.t
 val jobs_conv : int Arg.conv
 (** Positive integer; rejects bad values at parse time. *)
 
-val log_level_conv : Sw_obs.Log.level Arg.conv
-
 (** {2 The combined term} *)
 
 type t = {
@@ -66,8 +64,6 @@ val resolve_config :
 val open_store : string -> (Sw_host.Store.t, [ `Msg of string ]) result
 (** Open the durable plan store under {!Sw_core.Compile.store_schema},
     mapping I/O failures to a usage-style error. *)
-
-val config : t -> (Sw_arch.Config.t, [ `Msg of string ]) result
 
 val session : t -> (Sw_core.Session.t, [ `Msg of string ]) result
 (** Resolve the whole record into a session:

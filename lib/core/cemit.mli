@@ -16,18 +16,6 @@ val mpe_file : Compile.t -> string
 (** The host (MPE) translation unit: aligned allocation, [athread_spawn],
     timing and teardown. *)
 
-val athread_stub : unit -> string
-(** A host-compilable stub of the athread interfaces the generated code
-    calls ([dma_iget], [rma_row_ibcast], [synch], spawning). Written next
-    to the generated files so they compile with any C compiler; the test
-    suite checks them with [gcc -fsyntax-only]. *)
-
-val support_header : unit -> string
-(** [swgemm_kernels.h]: portable C reference implementations of the micro
-    kernels and element-wise maps, plus the extern declarations of the
-    vendor assembly routine the CPE file calls. Allows the emitted pair to
-    be compiled against a stub athread on any host. *)
-
 val write_files : Compile.t -> dir:string -> string * string
 (** Write both files (plus [swgemm_kernels.h]) into [dir]
     ([<name>_mpe.c], [<name>_cpe.c]); returns the two C paths. *)

@@ -36,8 +36,6 @@ exception Gemv_error of string
 val compile : config:Sw_arch.Config.t -> spec -> compiled
 (** Pads [m] to the full row-distribution tile and [n] to the x panel. *)
 
-val flops : compiled -> int
-
 val verify : ?seed:int -> compiled -> (unit, string) result
 (** Functional {!Runner.simulate} run on the simulated cluster, checked
     with {!Runner.first_mismatch} against {!Runner.reference} of the

@@ -18,8 +18,6 @@ let create ?(extensions = []) ~session () =
     extensions;
   { session; extensions }
 
-let session t = t.session
-
 let invalid fmt = Printf.ksprintf (fun s -> Result.Error (Error.Invalid s)) fmt
 
 let compile_result_json (compiled : Compile.t) =

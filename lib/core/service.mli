@@ -42,8 +42,6 @@ val create : ?extensions:(string * extension) list -> session:Session.t -> unit 
 (** Raises [Invalid_argument] when an extension name shadows a builtin
     method. *)
 
-val session : t -> Session.t
-
 val handle :
   client:string ->
   meth:string ->

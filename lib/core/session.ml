@@ -51,7 +51,6 @@ let create ?(options = Options.all_on) ?(debug = false) ?cache
 let with_options t options = { t with options }
 
 let run = Compile.run
-let run_exn = Compile.run_exn
 let warm_start = Compile.warm_start
 
 let cache_stats t = Option.map Plan_cache.stats t.cache

@@ -84,9 +84,6 @@ val with_options : t -> Options.t -> t
 val run : t -> Spec.t -> (Compile.t, Sw_arch.Error.t) result
 (** {!Compile.run}: the typed-result entry point. *)
 
-val run_exn : t -> Spec.t -> Compile.t
-(** {!Compile.run_exn}: raises [Sw_arch.Error.Sim_error] on failure. *)
-
 val warm_start : t -> int
 (** {!Compile.warm_start}: preload the in-memory cache from the durable
     store; returns the number of plans loaded. *)

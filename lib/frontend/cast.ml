@@ -34,14 +34,3 @@ let rec expr_to_string = function
   | Neg e -> "-" ^ expr_to_string e
   | Call (f, args) ->
       Printf.sprintf "%s(%s)" f (String.concat ", " (List.map expr_to_string args))
-
-let rec stmt_to_string = function
-  | For { var; lo; hi; body } ->
-      Printf.sprintf "for (%s = %s; %s < %s) { %s }" var (expr_to_string lo)
-        var (expr_to_string hi)
-        (String.concat " " (List.map stmt_to_string body))
-  | Assign { lhs = name, idx; op; rhs } ->
-      Printf.sprintf "%s%s %s %s;" name
-        (String.concat "" (List.map (fun e -> "[" ^ expr_to_string e ^ "]") idx))
-        (match op with `Set -> "=" | `AddSet -> "+=")
-        (expr_to_string rhs)

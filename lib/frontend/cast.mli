@@ -26,4 +26,3 @@ type param =
 type func = { fname : string; params : param list; body : stmt list }
 
 val expr_to_string : expr -> string
-val stmt_to_string : stmt -> string

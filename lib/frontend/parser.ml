@@ -218,9 +218,3 @@ let parse_func st =
 let parse src =
   let st = { toks = Lexer.tokenize src } in
   parse_func st
-
-let parse_expr src =
-  let st = { toks = Lexer.tokenize src } in
-  let e = parse_expression st in
-  (match peek st with EOF -> () | _ -> fail st "trailing input");
-  e

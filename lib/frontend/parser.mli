@@ -5,6 +5,3 @@ exception Parse_error of string
 val parse : string -> Cast.func
 (** Parse one function definition. Raises {!Parse_error} (or
     {!Lexer.Lex_error}) with a located message. *)
-
-val parse_expr : string -> Cast.expr
-(** Parse a standalone expression (testing aid). *)

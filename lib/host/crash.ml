@@ -150,16 +150,6 @@ let hit site =
             "host_fault.stalls_total";
           Unix.sleepf d)
 
-let hits () =
-  Mutex.lock lock;
-  let r =
-    match !armed with
-    | None -> []
-    | Some p -> List.map (fun t -> (t.site, t.count)) p.triggers
-  in
-  Mutex.unlock lock;
-  r
-
 let () =
   Printexc.register_printer (function
     | Crashed site -> Some (Printf.sprintf "Sw_host.Crash.Crashed(%s)" site)

@@ -32,14 +32,8 @@ val plan : (string * int * action) list -> plan
     [fire_on]-th (1-based) {!hit} of [site]. Raises [Invalid_argument] on
     [fire_on < 1]. *)
 
-val arm : plan -> unit
-val disarm : unit -> unit
-
 val with_plan : plan -> (unit -> 'a) -> 'a
 (** Arm, run, disarm (also on exception). *)
 
 val hit : string -> unit
 (** Injection point. No-op unless an armed trigger fires here. *)
-
-val hits : unit -> (string * int) list
-(** Observed hit counts of the armed plan's sites (for tests). *)

@@ -63,8 +63,3 @@ let admit t ~key =
          })
 
 let tokens t ~key = locked t @@ fun () -> (refilled t key).tokens
-
-let retry_after_s t ~key =
-  locked t @@ fun () ->
-  let b = refilled t key in
-  if b.tokens >= 1.0 then 0.0 else (1.0 -. b.tokens) /. t.rate

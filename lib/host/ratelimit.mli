@@ -36,7 +36,3 @@ val admit : t -> key:string -> (unit, Sw_arch.Error.t) result
 
 val tokens : t -> key:string -> float
 (** Current token balance (after refill) — introspection for tests. *)
-
-val retry_after_s : t -> key:string -> float
-(** Seconds until [key]'s bucket next holds a full token; [0.] when one
-    is already available. *)

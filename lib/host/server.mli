@@ -65,7 +65,6 @@ val serve : t -> unit
 val drain : t -> unit
 (** Begin graceful shutdown; async-signal-safe (sets one atomic flag). *)
 
-val draining : t -> bool
 val stats : t -> stats
 
 val handle_line : t -> client:string -> string -> string

@@ -92,8 +92,6 @@ let create ?(policy = default_policy) ?(seed = 0)
     rng = Random.State.make [| 0x5e7a; seed |];
   }
 
-let policy t = t.policy
-
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -367,9 +365,8 @@ let backoff t ~attempt =
   in
   capped *. (1.0 +. (t.policy.jitter_frac *. u))
 
-(* The attempt loop shared by [run] and [map]: deadline checks before each
-   attempt, bounded retries for retryable errors, backoff between them.
-   Breaker and admission are the callers' concern. *)
+(* The attempt loop of [run]: deadline checks before each attempt, bounded
+   retries for retryable errors, backoff between them. *)
 let attempts t ?deadline_s work =
   let tok = token ?deadline_s t ~stage:"request" in
   let rec go attempt =
@@ -424,47 +421,3 @@ let run t ?shape_class ?deadline_s work =
           | Some _ -> breaker_note t class_ ~ok:(Result.is_ok r)
           | None -> ());
           r)
-
-let run_with_fallback t ~shape_class ?deadline_s ~fallback work =
-  match run t ~shape_class ?deadline_s work with
-  | Error (Sw_arch.Error.Circuit_open _) ->
-      (* degraded mode: the breaker is open, serve the cheap path under
-         the same deadline; its outcome does not feed the breaker (it is
-         the escape hatch, not the observed service) *)
-      Sw_obs.Metrics.incr_a "supervise.degraded_total";
-      let tok = token ?deadline_s t ~stage:"degraded" in
-      fallback tok
-  | r -> r
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic pool fan-out                                           *)
-(* ------------------------------------------------------------------ *)
-
-let map t pool ~class_of work xs =
-  (* freeze each class's verdict at region entry, in input order *)
-  let verdicts = Hashtbl.create 8 in
-  List.iter
-    (fun x ->
-      let c = class_of x in
-      if not (Hashtbl.mem verdicts c) then
-        Hashtbl.add verdicts c (breaker_check t c))
-    xs;
-  let results =
-    Pool.map pool
-      (fun x ->
-        match Hashtbl.find verdicts (class_of x) with
-        | Error e -> Error e
-        | Ok () -> attempts t (fun tok -> work x tok))
-      xs
-  in
-  (* apply outcomes at the barrier, in input order: the breaker's final
-     state is a fold over (class, ok) pairs independent of pool width.
-     Tasks rejected by the frozen verdict did not run and contribute
-     nothing. *)
-  List.iter2
-    (fun x r ->
-      match r with
-      | Error (Sw_arch.Error.Circuit_open _) -> ()
-      | r -> breaker_note t (class_of x) ~ok:(Result.is_ok r))
-    xs results;
-  results

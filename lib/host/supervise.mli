@@ -16,10 +16,7 @@
     else fails fast.
 
     The clock and sleeper are injectable so tests drive the state machine
-    with a fake clock. Determinism contract for {!map}: results and the
-    breaker's post-region state are identical for every pool width (class
-    verdicts are frozen at region entry; outcomes are applied at the
-    barrier in input order). *)
+    with a fake clock. *)
 
 type policy = {
   deadline_s : float option;  (** total wall-clock budget per request *)
@@ -50,8 +47,6 @@ val create :
 (** [seed] fixes the jitter stream; [now]/[sleep] default to wall clock.
     Raises [Invalid_argument] on a nonsensical policy. *)
 
-val policy : t -> policy
-
 (** {1 Deadline tokens} *)
 
 type token
@@ -66,9 +61,6 @@ val checkpoint : ?stage:string -> token -> (unit, Sw_arch.Error.t) result
 (** Cooperative cancellation point: [Error (Timeout _)] once the
     deadline has passed, tagging the most recent [stage]. *)
 
-val elapsed : token -> float
-val expired : token -> bool
-
 (** {1 The envelope} *)
 
 val run :
@@ -81,30 +73,6 @@ val run :
     loop. The deadline clock starts at admission; the slot is released on
     any exit. The outcome feeds the class's breaker. *)
 
-val run_with_fallback :
-  t ->
-  shape_class:string ->
-  ?deadline_s:float ->
-  fallback:(token -> ('a, Sw_arch.Error.t) result) ->
-  (token -> ('a, Sw_arch.Error.t) result) ->
-  ('a, Sw_arch.Error.t) result
-(** Like {!run}, but an open breaker degrades to [fallback] (under a
-    fresh token with the same deadline) instead of failing. The
-    fallback's outcome does not feed the breaker. *)
-
-val map :
-  t ->
-  Pool.t ->
-  class_of:('a -> string) ->
-  ('a -> token -> ('b, Sw_arch.Error.t) result) ->
-  'a list ->
-  ('b, Sw_arch.Error.t) result list
-(** Supervised fan-out over a pool. Admission is bypassed — the pool's
-    width is the concurrency bound — and breaker verdicts are frozen per
-    class at entry, outcomes applied at the barrier in input order, so
-    results are invariant under [--jobs]. Each task gets the attempt
-    loop with its own deadline clock. *)
-
 (** {1 Introspection (tests, CLI)} *)
 
 val admit : t -> token -> (unit, Sw_arch.Error.t) result
@@ -112,4 +80,3 @@ val release : t -> unit
 val in_flight : t -> int
 val breaker_state : t -> string -> [ `Closed | `Open | `Half_open ]
 val breaker_note : t -> string -> ok:bool -> unit
-val breaker_check : t -> string -> (unit, Sw_arch.Error.t) result

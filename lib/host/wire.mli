@@ -13,9 +13,6 @@
     daemon, only earn an error frame. This module is pure (no I/O); the
     socket loops live in {!Server} and {!Client}. *)
 
-val version : int
-(** The protocol generation this build speaks: [1]. *)
-
 val max_frame_bytes : int
 (** Upper bound on one encoded frame (64 KiB). {!decode_request} and
     {!decode_response} reject longer inputs without parsing them. *)
@@ -42,9 +39,6 @@ val decode_request : string -> (request, Sw_arch.Error.t) result
     [v <> version] maps to [Invalid] naming both versions. *)
 
 val decode_response : string -> (response, Sw_arch.Error.t) result
-
-val error_of : Sw_arch.Error.t -> error
-(** [{err_class = class_of e; message = to_string e}]. *)
 
 val response_of_result :
   id:string -> (Sw_obs.Json.t, Sw_arch.Error.t) result -> response

@@ -176,25 +176,3 @@ let estimated_efficiency t =
   let flops = float_of_int (2 * t.m * t.n * t.k) in
   let peak_per_cycle = float_of_int (2 * t.lanes) in
   flops /. (estimated_cycles t *. peak_per_cycle)
-
-let to_asm t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "# generated %dx%dx%d micro kernel: blocking %dx%d vectors, %d \
-        registers, %d instructions\n"
-       t.m t.n t.k t.mr t.nrv (register_pressure t)
-       (Array.length t.body));
-  Array.iter
-    (fun i ->
-      Buffer.add_string buf
-        (match i with
-        | Ldc { dst; off } -> Printf.sprintf "\tvldd   $v%d, %d(C)\n" dst (8 * off)
-        | Stc { src; off } -> Printf.sprintf "\tvstd   $v%d, %d(C)\n" src (8 * off)
-        | Lda_bcast { dst; off } ->
-            Printf.sprintf "\tldder  $v%d, %d(A)\n" dst (8 * off)
-        | Ldb { dst; off } -> Printf.sprintf "\tvldd   $v%d, %d(B)\n" dst (8 * off)
-        | Fma { acc; a; b } ->
-            Printf.sprintf "\tvmad   $v%d, $v%d, $v%d\n" acc a b))
-    t.body;
-  Buffer.contents buf

@@ -10,15 +10,14 @@
     [mr x nrv] is chosen to maximize the FMA-to-memory-operation ratio —
     the same criterion behind the vendor kernel's shape configuration.
 
-    Three consumers:
+    Two consumers:
     - a functional interpreter ({!run}) validated against
       {!Micro.dgemm_tile}, so generated kernels are provably correct;
     - a dual-issue cycle model ({!estimated_efficiency}) that predicts the
       fraction of SIMD peak a generated kernel sustains — used by the
       ablation benches to quantify the gap to the hand-written vendor
       routine, and enabling the smaller kernel shapes the fusion patterns
-      of §7.3 call for;
-    - a pretty-printer ({!to_asm}) for inspection. *)
+      of §7.3 call for. *)
 
 type instr =
   | Ldc of { dst : int; off : int }  (** vector load from the C tile *)
@@ -60,14 +59,8 @@ val run :
 (** Interpret the kernel on row-major contiguous tiles (the SPM layout the
     compiler guarantees). *)
 
-val estimated_cycles : t -> float
-(** Dual-issue in-order model: per cycle, one FMA and one memory/broadcast
-    operation can retire; the C tile's loads/stores and the loop ramp are
-    exposed. *)
-
 val estimated_efficiency : t -> float
-(** [2*m*n*k / (estimated_cycles * flops_per_cycle)] with
-    [flops_per_cycle = 2 * lanes]: the fraction of SIMD peak. *)
-
-val to_asm : t -> string
-(** Human-readable listing, e.g. ["vfmad $v3, $v28, $v25"]. *)
+(** [2*m*n*k / (cycles * flops_per_cycle)] with [flops_per_cycle = 2 *
+    lanes]: the fraction of SIMD peak. [cycles] is a dual-issue in-order
+    model: per cycle, one FMA and one memory/broadcast operation can
+    retire; the C tile's loads/stores and the loop ramp are exposed. *)

@@ -15,47 +15,6 @@ let dgemm_tile ~m ~n ~k ~alpha ~accumulate ~a ~ao ~b ~bo ~c ~co =
     done
   done
 
-let dgemm_tile_blocked ~m ~n ~k ~alpha ~accumulate ~a ~ao ~b ~bo ~c ~co =
-  (* 4x4 register blocking with scalar cleanup; bit-identical to
-     [dgemm_tile] because the (i, p, j) accumulation order is preserved
-     within each block row. *)
-  if not accumulate then
-    for idx = 0 to (m * n) - 1 do
-      c.(co + idx) <- 0.0
-    done;
-  let bm = 4 and bn = 4 in
-  let i = ref 0 in
-  while !i < m do
-    let mi = min bm (m - !i) in
-    let j0 = ref 0 in
-    while !j0 < n do
-      let nj = min bn (n - !j0) in
-      (* accumulators for the mi x nj block *)
-      let acc = Array.make (bm * bn) 0.0 in
-      for ii = 0 to mi - 1 do
-        for jj = 0 to nj - 1 do
-          acc.((ii * bn) + jj) <- c.(co + ((!i + ii) * n) + !j0 + jj)
-        done
-      done;
-      for p = 0 to k - 1 do
-        for ii = 0 to mi - 1 do
-          let av = alpha *. a.(ao + ((!i + ii) * k) + p) in
-          let brow = bo + (p * n) + !j0 in
-          for jj = 0 to nj - 1 do
-            acc.((ii * bn) + jj) <- acc.((ii * bn) + jj) +. (av *. b.(brow + jj))
-          done
-        done
-      done;
-      for ii = 0 to mi - 1 do
-        for jj = 0 to nj - 1 do
-          c.(co + ((!i + ii) * n) + !j0 + jj) <- acc.((ii * bn) + jj)
-        done
-      done;
-      j0 := !j0 + nj
-    done;
-    i := !i + mi
-  done
-
 let dgemm_tile_t ~ta ~tb ~m ~n ~k ~alpha ~accumulate ~a ~ao ~b ~bo ~c ~co =
   if (not ta) && not tb then
     dgemm_tile ~m ~n ~k ~alpha ~accumulate ~a ~ao ~b ~bo ~c ~co

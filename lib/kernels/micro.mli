@@ -21,16 +21,6 @@ val dgemm_tile :
     [C] are overwritten. The loop order (i, k, j) with a register
     accumulator mirrors the structure of the unrolled assembly. *)
 
-val dgemm_tile_blocked :
-  m:int -> n:int -> k:int -> alpha:float -> accumulate:bool ->
-  a:float array -> ao:int ->
-  b:float array -> bo:int ->
-  c:float array -> co:int -> unit
-(** Same contract as {!dgemm_tile} but with 4x4 register blocking — the
-    shape the decompiled vendor object reveals. Used to cross-check
-    {!dgemm_tile} in tests; both must agree to the last bit for these
-    operand sizes. *)
-
 val dgemm_tile_t :
   ta:bool -> tb:bool ->
   m:int -> n:int -> k:int -> alpha:float -> accumulate:bool ->

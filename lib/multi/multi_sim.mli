@@ -24,12 +24,6 @@ type noc = {
   latency_s : float;  (** per-panel latency *)
 }
 
-val default_noc : noc
-(** {!Sw_arch.Arch_desc.default_noc}, flattened. *)
-
-val noc_of_desc : Sw_arch.Arch_desc.noc -> noc
-(** Consume the NoC section of an architecture description. *)
-
 type stats = {
   seconds : float;
   gflops : float;

@@ -73,7 +73,6 @@ let installed : t option ref = ref None
 
 let install t = installed := Some t
 let uninstall () = installed := None
-let current () = !installed
 let enabled () = !installed <> None
 
 let record ~kind body =

@@ -38,7 +38,6 @@ val create :
 
 val install : t -> unit
 val uninstall : unit -> unit
-val current : unit -> t option
 val enabled : unit -> bool
 
 val record : kind:string -> Json.t -> unit
@@ -71,7 +70,3 @@ val dump : ?path:string -> reason:string -> t -> string
 val trigger : reason:string -> string option
 (** [dump] on the installed recorder, or [None] without one. The
     triggering failure sites each call this exactly once per failure. *)
-
-val to_json : reason:string -> t -> Json.t
-(** The dump document: [{reason; ts; capacity; dropped; records;
-    metrics}]. *)

@@ -24,8 +24,6 @@ val to_string : ?pretty:bool -> t -> string
 (** Render; [pretty] (default false) adds newlines and two-space
     indentation. *)
 
-val to_channel : ?pretty:bool -> out_channel -> t -> unit
-
 val write_file : ?pretty:bool -> path:string -> t -> unit
 (** Create parent directory if missing (one level), write atomically via a
     temporary file. *)

@@ -63,7 +63,6 @@ let create ?(min_level = Info) ?(capacity = 4096)
 
 let fork t = create ~min_level:t.lvl ~capacity:t.capacity ~clock:t.clock ()
 
-let min_level t = t.lvl
 let level_enabled t level = severity level >= severity t.lvl
 let length t = t.nevs
 let dropped t = t.drop
@@ -100,53 +99,6 @@ let to_json (e : event) =
     ]
 
 let to_line e = Json.to_string (to_json e)
-
-let of_json j =
-  let open Json in
-  let str name = Option.bind (member name j) to_string_opt in
-  let field_of_json = function
-    | String s -> Ok (S s)
-    | Int i -> Ok (I i)
-    | Float f -> Ok (F f)
-    | Bool b -> Ok (B b)
-    | Null -> Ok (F Float.nan)  (* the image of nan/inf under to_line *)
-    | _ -> Error "field value must be a scalar"
-  in
-  match
-    ( Option.bind (member "seq" j) to_int_opt,
-      Option.bind (member "ts" j) to_float_opt,
-      Option.bind (str "level") level_of_string,
-      str "scope",
-      str "event" )
-  with
-  | Some seq, ts, Some level, Some scope, Some name ->
-      let ts =
-        (* a nan ts renders as null, which to_float_opt refuses *)
-        match (ts, member "ts" j) with
-        | Some ts, _ -> Ok ts
-        | None, Some Null -> Ok Float.nan
-        | None, _ -> Error "missing or non-numeric ts"
-      in
-      let fields =
-        match member "fields" j with
-        | Some (Obj kvs) ->
-            List.fold_left
-              (fun acc (k, v) ->
-                match (acc, field_of_json v) with
-                | Ok acc, Ok f -> Ok ((k, f) :: acc)
-                | (Error _ as e), _ -> e
-                | _, Error e -> Error e)
-              (Ok []) kvs
-            |> Result.map List.rev
-        | None -> Ok []
-        | Some _ -> Error "fields must be an object"
-      in
-      (match (ts, fields) with
-      | Ok ts, Ok fields -> Ok { seq; ts; level; scope; name; fields }
-      | Error e, _ | _, Error e -> Error e)
-  | _ -> Error "missing seq/ts/level/scope/event"
-
-let of_line s = Result.bind (Json.parse s) of_json
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                            *)

@@ -59,9 +59,6 @@ val fork : t -> t
 (** A fresh, empty logger with the parent's level, capacity and clock but
     no output channel — the pool's per-task logger, to be {!absorb}ed. *)
 
-val min_level : t -> level
-val level_enabled : t -> level -> bool
-
 (** {2 Logging} *)
 
 val event : t -> level -> scope:string -> string -> (string * field) list -> unit
@@ -81,9 +78,6 @@ val uninstall : unit -> unit
 val current : unit -> t option
 val enabled : unit -> bool
 
-val log : level -> scope:string -> string -> (string * field) list -> unit
-(** Ambient {!event}; no-op without an installed logger. *)
-
 val debug : scope:string -> string -> (string * field) list -> unit
 val info : scope:string -> string -> (string * field) list -> unit
 val warn : scope:string -> string -> (string * field) list -> unit
@@ -99,15 +93,6 @@ val length : t -> int
 val dropped : t -> int
 (** Events overwritten because the buffer was full. *)
 
-val to_json : event -> Json.t
-
 val to_line : event -> string
 (** One JSON object, no trailing newline. Non-finite float fields render
     as [null] (the emitter's rule). *)
-
-val of_json : Json.t -> (event, string) result
-(** Inverse of {!to_json}. A [null] where a number is expected parses as
-    [F nan] — the image of a nan/inf under {!to_line} parses back, though
-    not to a value equal to the original. *)
-
-val of_line : string -> (event, string) result

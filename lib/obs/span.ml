@@ -154,5 +154,3 @@ let to_chrome t =
           @ List.rev_map json_ev t.evs) );
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let to_chrome_string t = Json.to_string (to_chrome t)

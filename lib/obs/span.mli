@@ -97,5 +97,3 @@ val ambient :
 val to_chrome : sink -> Json.t
 (** The [{"traceEvents": [...], "displayTimeUnit": "ms"}] object, events
     in recording order, metadata first. *)
-
-val to_chrome_string : sink -> string

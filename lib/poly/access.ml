@@ -6,12 +6,6 @@ let read array indices = { array; indices; kind = Read }
 let write array indices = { array; indices; kind = Write }
 let is_write a = a.kind = Write
 
-let subst bindings a =
-  { a with indices = List.map (Aff.subst bindings) a.indices }
-
-let eval_indices ~vars ~params a =
-  List.map (Aff.eval ~vars ~params) a.indices
-
 let to_string a =
   Printf.sprintf "%s%s (%s)" a.array
     (String.concat "" (List.map (fun i -> "[" ^ Aff.to_string i ^ "]") a.indices))

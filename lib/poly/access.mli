@@ -12,13 +12,6 @@ val read : string -> Aff.t list -> t
 val write : string -> Aff.t list -> t
 val is_write : t -> bool
 
-val subst : (string * Aff.t) list -> t -> t
-(** Substitute iterator variables in every index expression. *)
-
-val eval_indices :
-  vars:(string -> int) -> params:(string -> int) -> t -> int list
-(** Concrete index vector of the access for one statement instance. *)
-
 val to_string : t -> string
 (** e.g. ["A[i][k] (read)"]. *)
 

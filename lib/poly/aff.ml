@@ -75,16 +75,6 @@ let rec subst bindings e =
   | Fdiv (a, d) -> fdiv (subst bindings a) d
   | Mod (a, d) -> fmod (subst bindings a) d
 
-let rec subst_params bindings e =
-  match e with
-  | Param s -> ( match List.assoc_opt s bindings with Some r -> r | None -> e)
-  | Const _ | Var _ -> e
-  | Add (a, b) -> add (subst_params bindings a) (subst_params bindings b)
-  | Sub (a, b) -> sub (subst_params bindings a) (subst_params bindings b)
-  | Mul (k, a) -> mul k (subst_params bindings a)
-  | Fdiv (a, d) -> fdiv (subst_params bindings a) d
-  | Mod (a, d) -> fmod (subst_params bindings a) d
-
 let collect pick e =
   let rec go acc = function
     | Const _ -> acc
@@ -132,4 +122,3 @@ let rec render ~div e =
 
 let to_string = render ~div:"floord"
 let to_c = render ~div:"floord"
-let pp fmt e = Format.pp_print_string fmt (to_string e)

@@ -35,9 +35,6 @@ val equal : t -> t -> bool
 val subst : (string * t) list -> t -> t
 (** Substitute variables (not parameters) by expressions. *)
 
-val subst_params : (string * t) list -> t -> t
-(** Substitute parameters by expressions. *)
-
 val free_vars : t -> string list
 (** Variable names occurring in the expression, sorted, without duplicates. *)
 
@@ -51,5 +48,3 @@ val to_string : t -> string
 
 val to_c : t -> string
 (** C rendering using the [floord]/[mod] helper macros emitted in headers. *)
-
-val pp : Format.formatter -> t -> unit

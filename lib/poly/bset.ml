@@ -46,7 +46,6 @@ let add_dims t names =
 
 let eqs t = t.eqs
 let ineqs t = t.ineqs
-let n_exists t = t.nexist
 
 let falsum = Lin.const (-1)
 
@@ -245,7 +244,6 @@ let eliminate t vars =
   renorm acc { t with divs }
 
 let exist_vars t = List.init t.nexist (fun i -> Lin.X i)
-let eliminate_exists t = eliminate t (exist_vars t)
 
 let project_onto t keep =
   let drop =
@@ -287,8 +285,6 @@ let subst_params_values t values =
       e (Lin.terms e)
   in
   renorm (List.map subst_lin t.eqs, List.map subst_lin t.ineqs) t
-
-let is_empty_with t ~params = is_empty (subst_params_values t params)
 
 let implies_aff_ineq t aff =
   (* t implies aff >= 0  iff  t /\ aff <= -1 is empty *)
@@ -454,22 +450,3 @@ let enumerate t ~params:pvals =
   in
   go 0;
   List.rev !results
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let to_string t =
-  let ps = t.params and ds = t.dims in
-  let lin e = Lin.to_string ~params:ps ~dims:ds e in
-  let cs =
-    List.map (fun e -> lin e ^ " = 0") t.eqs
-    @ List.map (fun e -> lin e ^ " >= 0") t.ineqs
-  in
-  Printf.sprintf "[%s] -> { [%s]%s : %s }"
-    (String.concat ", " (Array.to_list ps))
-    (String.concat ", " (Array.to_list ds))
-    (if t.nexist > 0 then Printf.sprintf " (%d exists)" t.nexist else "")
-    (if cs = [] then "true" else String.concat " and " cs)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

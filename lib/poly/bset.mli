@@ -20,29 +20,18 @@ val universe : params:string list -> dims:string list -> t
 
 val params : t -> string array
 val dims : t -> string array
-val dim_index : t -> string -> int
-(** Raises [Not_found] for an unknown dimension name. *)
-
-val dim_var : t -> string -> Lin.var
 val param_var : t -> string -> Lin.var
 val add_dims : t -> string list -> t
 (** Append fresh named dimensions (names must not collide). *)
 
 val eqs : t -> Lin.t list
 val ineqs : t -> Lin.t list
-val n_exists : t -> int
 
 val add_ineq : t -> Lin.t -> t
 (** Constrain with [e >= 0]. *)
 
 val add_eq : t -> Lin.t -> t
 (** Constrain with [e = 0]. *)
-
-val linearize : t -> Aff.t -> t * Lin.t
-(** Translate a quasi-affine tree into a flat linear expression, introducing
-    existential variables (with their defining constraints) for each [Fdiv]
-    and [Mod] node. Variable names must name dimensions of the set and
-    parameter names must name parameters; raises [Not_found] otherwise. *)
 
 val add_aff_ineq : t -> Aff.t -> t
 (** Constrain with [aff >= 0]. *)
@@ -57,19 +46,11 @@ val meet : t -> t -> t
     dimension names, checked); the existential variables of the right-hand
     side are renamed apart. *)
 
-val eliminate : t -> Lin.var list -> t
-(** Fourier–Motzkin projection of the given variables. The space is
-    unchanged; eliminated dimensions simply become unconstrained. *)
-
-val eliminate_exists : t -> t
 val project_onto : t -> string list -> t
 (** Keep only constraints over the named dimensions (and parameters). *)
 
 val is_empty : t -> bool
 (** [true] only when the set is provably empty for every parameter value. *)
-
-val is_empty_with : t -> params:(string * int) list -> bool
-(** Emptiness after fixing the given parameter values. *)
 
 val implies_aff_ineq : t -> Aff.t -> bool
 (** Does every point of the set satisfy [aff >= 0]? (Used to prune redundant
@@ -94,6 +75,3 @@ val enumerate : t -> params:(string * int) list -> int array list
 (** All integer points of a bounded set with parameters fixed, each point an
     array in dimension order. Intended for tests; raises [Invalid_argument]
     when a dimension is unbounded. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

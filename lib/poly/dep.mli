@@ -29,9 +29,3 @@ type result = {
 val analyze : domain:Bset.t -> accesses:Access.t list -> result
 (** [analyze ~domain ~accesses] performs self-dependence analysis. The
     dimensions of [domain] are the loop iterators in nesting order. *)
-
-val depends :
-  domain:Bset.t -> accesses:Access.t list -> dim:int -> [ `None | `Forward | `Any ]
-(** Direction of self-dependences projected on one loop dimension: [`None]
-    when all distances are zero, [`Forward] when all are non-negative,
-    [`Any] otherwise. *)

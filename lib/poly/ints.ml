@@ -2,8 +2,6 @@ let rec gcd a b =
   let a = abs a and b = abs b in
   if b = 0 then a else gcd b (a mod b)
 
-let lcm a b = if a = 0 || b = 0 then 0 else abs (a * b) / gcd a b
-
 let fdiv a b =
   if b = 0 then raise Division_by_zero
   else

@@ -7,9 +7,6 @@
 val gcd : int -> int -> int
 (** [gcd a b] is the non-negative greatest common divisor; [gcd 0 0 = 0]. *)
 
-val lcm : int -> int -> int
-(** Least common multiple, non-negative. *)
-
 val fdiv : int -> int -> int
 (** [fdiv a b] is [floor (a / b)] for [b > 0] or [b < 0]; raises
     [Division_by_zero] on [b = 0]. *)

@@ -3,11 +3,6 @@ type var = P of int | D of int | X of int
 let var_rank = function P i -> (0, i) | D i -> (1, i) | X i -> (2, i)
 let compare_var a b = compare (var_rank a) (var_rank b)
 
-let var_to_string ~params ~dims = function
-  | P i -> if i < Array.length params then params.(i) else Printf.sprintf "p%d" i
-  | D i -> if i < Array.length dims then dims.(i) else Printf.sprintf "d%d" i
-  | X i -> Printf.sprintf "e%d" i
-
 type t = { terms : (var * int) list; cst : int }
 
 let zero = { terms = []; cst = 0 }
@@ -48,7 +43,6 @@ let neg e = scale (-1) e
 let sub a b = add a (neg b)
 let add_const c e = { e with cst = e.cst + c }
 let is_const e = e.terms = []
-let vars e = List.map fst e.terms
 let mentions e v = List.mem_assoc v e.terms
 
 let subst e v r =
@@ -68,20 +62,4 @@ let divide_exact e d =
   { terms = List.map (fun (v, c) -> (v, dv c)) e.terms; cst = dv e.cst }
 
 let equal a b = a = b
-let compare = compare
 let eval e env = List.fold_left (fun acc (v, c) -> acc + (c * env v)) e.cst e.terms
-
-let to_string ~params ~dims e =
-  let term_str (v, c) =
-    let name = var_to_string ~params ~dims v in
-    if c = 1 then name
-    else if c = -1 then "-" ^ name
-    else Printf.sprintf "%d*%s" c name
-  in
-  match e.terms with
-  | [] -> string_of_int e.cst
-  | ts ->
-      let body = String.concat " + " (List.map term_str ts) in
-      if e.cst = 0 then body
-      else if e.cst > 0 then Printf.sprintf "%s + %d" body e.cst
-      else Printf.sprintf "%s - %d" body (-e.cst)

@@ -10,14 +10,10 @@ type var =
   | D of int  (** set dimension, by index into the space's dimension list *)
   | X of int  (** existentially quantified variable (e.g. a floor-div) *)
 
-val compare_var : var -> var -> int
-val var_to_string : params:string array -> dims:string array -> var -> string
-
 type t
 (** A linear expression. Terms are kept sorted by variable with non-zero
     coefficients only, so structural equality is semantic equality. *)
 
-val zero : t
 val const : int -> t
 val var : ?coeff:int -> var -> t
 val of_terms : (var * int) list -> int -> t
@@ -30,7 +26,6 @@ val neg : t -> t
 val scale : int -> t -> t
 val add_const : int -> t -> t
 val is_const : t -> bool
-val vars : t -> var list
 val mentions : t -> var -> bool
 
 val subst : t -> var -> t -> t
@@ -46,6 +41,4 @@ val divide_exact : t -> int -> t
     [Invalid_argument] if any is not divisible. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val eval : t -> (var -> int) -> int
-val to_string : params:string array -> dims:string array -> t -> string

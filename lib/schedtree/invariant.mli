@@ -19,11 +19,6 @@
 type buffer = { buf : string; rows : int; cols : int; copies : int }
 (** One declared SPM buffer: [8 * rows * cols * copies] bytes. *)
 
-val comm_refs : Comm.t -> Comm.buf list * string list
-(** SPM buffers and reply counters a payload references. *)
-
-val footprint_bytes : buffer list -> int
-
 val check :
   ?buffers:buffer list ->
   ?replies:string list ->

@@ -4,12 +4,9 @@ type rel = Eq | Le | Lt | Ge | Gt
 
 type t = { lhs : Aff.t; rel : rel; rhs : Aff.t }
 
-let make lhs rel rhs = { lhs; rel; rhs }
 let eq lhs rhs = { lhs; rel = Eq; rhs }
 let le lhs rhs = { lhs; rel = Le; rhs }
-let lt lhs rhs = { lhs; rel = Lt; rhs }
 let ge lhs rhs = { lhs; rel = Ge; rhs }
-let gt lhs rhs = { lhs; rel = Gt; rhs }
 
 let eval ~vars ~params t =
   let l = Aff.eval ~vars ~params t.lhs and r = Aff.eval ~vars ~params t.rhs in

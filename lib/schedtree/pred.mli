@@ -11,13 +11,9 @@ type rel = Eq | Le | Lt | Ge | Gt
 
 type t = { lhs : Aff.t; rel : rel; rhs : Aff.t }
 
-val make : Aff.t -> rel -> Aff.t -> t
 val eq : Aff.t -> Aff.t -> t
 val le : Aff.t -> Aff.t -> t
-val lt : Aff.t -> Aff.t -> t
 val ge : Aff.t -> Aff.t -> t
-val gt : Aff.t -> Aff.t -> t
-
 val eval : vars:(string -> int) -> params:(string -> int) -> t -> bool
 
 val to_ineqs : t -> Aff.t list

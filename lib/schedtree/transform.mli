@@ -35,6 +35,3 @@ val strip_mine :
 val bind : Tree.band -> var:string -> Tree.binding -> Tree.band
 (** Bind a member to a mesh coordinate (Fig. 4b). Only coincident members
     may be bound. *)
-
-val member_exn : Tree.band -> string -> Tree.member
-(** Find a member by variable name; raises [Not_found]. *)

@@ -88,20 +88,6 @@ let initial stmts =
       in
       Domain (stmts, Band ({ members; permutable }, Leaf))
 
-let rec find_stmt t name =
-  match t with
-  | Domain (ss, child) -> (
-      match List.find_opt (fun s -> String.equal s.Stmt.name name) ss with
-      | Some s -> Some s
-      | None -> find_stmt child name)
-  | Band (_, c) | Filter (_, c) | Extension (_, c) | Mark (_, c) ->
-      find_stmt c name
-  | Sequence cs ->
-      List.fold_left
-        (fun acc (_, c) -> match acc with Some _ -> acc | None -> find_stmt c name)
-        None cs
-  | Leaf -> None
-
 let rec fold f acc t =
   let acc = f acc t in
   match t with
@@ -116,23 +102,6 @@ let stmts t =
 
 let exts t =
   fold (fun acc n -> match n with Extension (es, _) -> acc @ es | _ -> acc) [] t
-
-let loop_vars t =
-  fold
-    (fun acc n ->
-      match n with
-      | Band (b, _) -> acc @ List.map (fun m -> m.var) b.members
-      | _ -> acc)
-    [] t
-
-let map_children f = function
-  | Domain (ss, c) -> Domain (ss, f c)
-  | Band (b, c) -> Band (b, f c)
-  | Sequence cs -> Sequence (List.map (fun (flt, c) -> (flt, f c)) cs)
-  | Filter (flt, c) -> Filter (flt, f c)
-  | Extension (es, c) -> Extension (es, f c)
-  | Mark (m, c) -> Mark (m, f c)
-  | Leaf -> Leaf
 
 (* ------------------------------------------------------------------ *)
 (* Tree statistics (pass instrumentation)                               *)
@@ -196,13 +165,6 @@ let stats t =
     | Leaf -> { acc with leaves = acc.leaves + 1 }
   in
   go 1 empty_stats t
-
-let stats_to_string s =
-  Printf.sprintf
-    "%d nodes (depth %d): %d bands/%d members, %d sequences, %d filters, %d \
-     extensions/%d stmts, %d marks, %d leaves"
-    s.nodes s.depth s.bands s.band_members s.sequences s.filters s.extensions
-    s.ext_stmts s.marks s.leaves
 
 let validate t =
   let ( let* ) r f = Result.bind r f in
@@ -357,5 +319,3 @@ let to_string t =
   in
   go 0 t;
   Buffer.contents buffer
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -66,15 +66,8 @@ val initial : Stmt.t list -> t
 
 (* Accessors and traversal *)
 
-val find_stmt : t -> string -> Stmt.t option
-val stmts : t -> Stmt.t list
 val exts : t -> ext list
 (** All auxiliary statements declared anywhere in the tree. *)
-
-val loop_vars : t -> string list
-(** Variables of all band members in pre-order (bound members included). *)
-
-val map_children : (t -> t) -> t -> t
 
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** Pre-order fold over every node (sequence branches included). *)
@@ -95,7 +88,6 @@ type stats = {
     reported by the pass manager ([--pass-stats]). *)
 
 val stats : t -> stats
-val stats_to_string : stats -> string
 
 val validate : t -> (unit, string) result
 (** Structural sanity: domain at root only, unique loop variables, band
@@ -109,5 +101,3 @@ DOMAIN: S1(i, j, k)
   BAND: [i; j; k] coincident=[1;1;0] permutable
     LEAF
     v} *)
-
-val pp : Format.formatter -> t -> unit

@@ -57,13 +57,6 @@ type realized = {
   bound : float;  (** {!analytic_bound}: useful-Gflops upper bound *)
 }
 
-val kernel_efficiency :
-  Sw_arch.Config.t -> int * int * int -> (float * string, string) result
-(** Fraction of the machine's SIMD peak a micro kernel of this shape
-    sustains: the vendor routine's published efficiency for the config's
-    own shape, the {!Sw_kernels.Kgen} dual-issue estimate (rescaled to
-    the machine's flops/cycle) for every other shape. *)
-
 val realize :
   config:Sw_arch.Config.t ->
   spec:Sw_core.Spec.t ->

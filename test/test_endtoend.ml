@@ -82,10 +82,16 @@ let test_program_free_params () =
 let test_program_op_density () =
   (* the generated program is tile-granular: op count grows with trip
      counts, not with matrix elements *)
-  let ops spec =
-    Sw_ast.Ast.count_ops
-      (compile_exn ~config spec).Compile.program.Sw_ast.Ast.body
+  let rec count block =
+    List.fold_left
+      (fun acc (s : Sw_ast.Ast.stmt) ->
+        match s with
+        | For { body; _ } | Let { body; _ } | If { body; _ } -> acc + count body
+        | Op _ | User _ -> acc + 1
+        | Comment _ -> acc)
+      0 block
   in
+  let ops spec = count (compile_exn ~config spec).Compile.program.Sw_ast.Ast.body in
   let small = ops (Spec.make ~m:512 ~n:512 ~k:256 ()) in
   let large = ops (Spec.make ~m:512 ~n:512 ~k:2048 ()) in
   let huge = ops (Spec.make ~m:4096 ~n:4096 ~k:16384 ()) in

@@ -122,17 +122,23 @@ let test_parse_gemm () =
   | [ Cast.For { var = "i"; body = [ Cast.For { var = "j"; _ } ]; _ } ] -> ()
   | _ -> Alcotest.fail "unexpected body shape"
 
+(* The right-hand side of one assignment, parsed as part of a function. *)
+let parse_rhs src =
+  match (Parser.parse ("void f(double C[1]) { C[0] = " ^ src ^ "; }")).Cast.body with
+  | [ Cast.Assign { rhs; _ } ] -> rhs
+  | _ -> Alcotest.fail "expected one assignment"
+
 let test_parse_expr_precedence () =
   (* a + b * c parses as a + (b * c) *)
-  match Parser.parse_expr "a + b * c" with
+  match parse_rhs "a + b * c" with
   | Cast.Bin (Cast.Add, Cast.Var "a", Cast.Bin (Cast.Mul, Cast.Var "b", Cast.Var "c")) -> ()
   | e -> Alcotest.failf "wrong precedence: %s" (Cast.expr_to_string e)
 
 let test_parse_call_and_index () =
-  (match Parser.parse_expr "quant(A[i][k])" with
+  (match parse_rhs "quant(A[i][k])" with
   | Cast.Call ("quant", [ Cast.Index ("A", [ Cast.Var "i"; Cast.Var "k" ]) ]) -> ()
   | e -> Alcotest.failf "bad call parse: %s" (Cast.expr_to_string e));
-  match Parser.parse_expr "-x * 2" with
+  match parse_rhs "-x * 2" with
   | Cast.Bin (Cast.Mul, Cast.Neg (Cast.Var "x"), Cast.Int 2) -> ()
   | e -> Alcotest.failf "bad unary parse: %s" (Cast.expr_to_string e)
 

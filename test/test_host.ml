@@ -187,7 +187,7 @@ let test_span_lanes_stitched () =
                (List.init 16 Fun.id))));
   (* all 16 task spans landed in the parent sink, none were lost *)
   check Alcotest.int "stitched events" 16 (Sw_obs.Span.length parent);
-  let rendered = Sw_obs.Span.to_chrome_string parent in
+  let rendered = Sw_obs.Json.to_string (Sw_obs.Span.to_chrome parent) in
   Alcotest.(check bool) "worker lanes named" true
     (Helpers.contains rendered "domain ")
 

@@ -158,7 +158,7 @@ let test_span_chrome_export () =
   in
   check Alcotest.int "span returns" 17 r;
   check Alcotest.int "two events" 2 (Span.length sink);
-  let s = Span.to_chrome_string sink in
+  let s = Json.to_string (Span.to_chrome sink) in
   Alcotest.(check bool) "has traceEvents" true (contains s "\"traceEvents\"");
   Alcotest.(check bool) "thread name escaped" true
     (contains s "pipe\\\"line");
@@ -277,7 +277,7 @@ let test_obs_bridge_chrome () =
   check Alcotest.int "every event exported"
     (List.length (Trace.events trace))
     (Span.length sink);
-  let s = Span.to_chrome_string sink in
+  let s = Json.to_string (Span.to_chrome sink) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (contains s needle))

@@ -243,13 +243,13 @@ let test_warm_start () =
   let store = Sw_host.Store.open_ ~schema ~dir () in
   let s1 = Session.create ~store ~arch:tiny () in
   List.iter
-    (fun s -> ignore (Session.run_exn s1 (spec_of s)))
+    (fun s -> ignore (Compile.run_exn s1 (spec_of s)))
     [ 16; 24; 32 ];
   (* a "restarted" process: fresh store handle, fresh empty cache *)
   let store2 = Sw_host.Store.open_ ~schema ~dir () in
   let s2 = Session.create ~store:store2 ~arch:tiny () in
   check Alcotest.int "plans loaded" 3 (Session.warm_start s2);
-  ignore (Session.run_exn s2 (spec_of 24));
+  ignore (Compile.run_exn s2 (spec_of 24));
   (* the compile was a pure memory hit: no store traffic at all *)
   let st = Sw_host.Store.stats store2 in
   check Alcotest.int "no disk reads" 0 st.Sw_host.Store.hits;
@@ -301,7 +301,7 @@ let test_chaos_cycles () =
     (match Random.State.int rng 3 with
     | 0 ->
         (* clean lifetime *)
-        ignore (Session.run_exn session spec)
+        ignore (Compile.run_exn session spec)
     | 1 ->
         (* crash mid-write at a random injection site; if the entry was
            already on disk the put never runs and the compile just hits *)
@@ -309,12 +309,12 @@ let test_chaos_cycles () =
         Sw_host.Crash.with_plan
           (Sw_host.Crash.plan [ (site, 1, Sw_host.Crash.Raise) ])
           (fun () ->
-            match Session.run_exn session spec with
+            match Compile.run_exn session spec with
             | _ -> ()
             | exception Sw_host.Crash.Crashed _ -> ())
     | _ ->
         (* bit-rot: corrupt one random byte of one random object *)
-        ignore (Session.run_exn session spec);
+        ignore (Compile.run_exn session spec);
         (match object_files dir with
         | [] -> ()
         | files ->
@@ -325,7 +325,7 @@ let test_chaos_cycles () =
        disk, the emitted C must equal the storeless reference *)
     let store2 = Sw_host.Store.open_ ~schema ~dir () in
     let session2 = Session.create ~store:store2 ~arch:tiny () in
-    let out = emitted (Session.run_exn session2 spec) in
+    let out = emitted (Compile.run_exn session2 spec) in
     if not (String.equal out reference.(i)) then
       Alcotest.failf "cycle %d: emitted C diverged after crash/restart" cycle;
     let r = Sw_host.Store.verify store2 in

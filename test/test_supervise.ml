@@ -262,20 +262,6 @@ let test_breaker_half_open_failure_reopens () =
   | Error (Error.Circuit_open _) -> ()
   | _ -> Alcotest.fail "expected Circuit_open after failed probe"
 
-let test_degraded_fallback () =
-  let _, sup = supervise ~policy:breaker_policy () in
-  ignore (run_failing sup "c");
-  ignore (run_failing sup "c");
-  let r =
-    Sw_host.Supervise.run_with_fallback sup ~shape_class:"c"
-      ~fallback:(fun _ -> Ok "degraded")
-      (fun _ -> Ok "full")
-  in
-  check Alcotest.bool "fallback served" true (r = Ok "degraded");
-  (* the fallback's success must not feed (close) the breaker *)
-  check Alcotest.bool "breaker still open" true
-    (Sw_host.Supervise.breaker_state sup "c" = `Open)
-
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -304,70 +290,6 @@ let test_admission_sheds_when_full () =
     (Sw_host.Supervise.run sup (fun _ -> Ok ()) = Ok ());
   Sw_host.Supervise.release sup
 
-(* ------------------------------------------------------------------ *)
-(* Pool fan-out determinism with the breaker engaged                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Tasks are (class 0..2, fails?) pairs with deterministic outcomes; the
-   supervised fan-out must produce identical results and identical final
-   breaker state for every pool width. *)
-let fanout_gen = QCheck.(small_list (pair (int_bound 2) bool))
-
-let run_fanout ~jobs tasks =
-  let policy =
-    {
-      default with
-      Sw_host.Supervise.breaker_threshold = 2;
-      breaker_cooldown_s = 1000.0;
-      max_attempts = 1;
-    }
-  in
-  let sup =
-    Sw_host.Supervise.create ~policy ~seed:7
-      ~now:(fun () -> 0.0)
-      ~sleep:(fun _ -> ())
-      ()
-  in
-  (* pre-trip class 0 so open-breaker rejection is exercised from the
-     first round *)
-  Sw_host.Supervise.breaker_note sup "class0" ~ok:false;
-  Sw_host.Supervise.breaker_note sup "class0" ~ok:false;
-  let class_of (c, _) = Printf.sprintf "class%d" c in
-  let results =
-    Sw_host.Pool.with_pool ~jobs (fun pool ->
-        Sw_host.Supervise.map sup pool ~class_of
-          (fun (c, fails) _tok ->
-            if fails then Error err_invalid else Ok (10 * c))
-          tasks)
-  in
-  let states =
-    List.map
-      (fun c -> Sw_host.Supervise.breaker_state sup (Printf.sprintf "class%d" c))
-      [ 0; 1; 2 ]
-  in
-  (List.map (Result.map_error Error.to_string) results, states)
-
-let test_fanout_jobs_invariant =
-  qtest ~count:60 "supervised map: results and breaker state jobs-invariant"
-    fanout_gen
-    (fun tasks -> run_fanout ~jobs:1 tasks = run_fanout ~jobs:4 tasks)
-
-let test_fanout_frozen_verdicts () =
-  (* class0 tripped before the region: every class0 task is rejected with
-     Circuit_open and its work never runs, even late in the list *)
-  let tasks = [ (0, false); (1, false); (0, false); (2, true) ] in
-  let results, states = run_fanout ~jobs:2 tasks in
-  (match results with
-  | [ Error r1; Ok 10; Error r2; Error _ ] ->
-      List.iter
-        (fun r ->
-          if not (String.length r >= 12 && String.sub r 0 12 = "circuit_open") then
-            Alcotest.failf "expected circuit_open rejection, got %s" r)
-        [ r1; r2 ]
-  | _ -> Alcotest.fail "unexpected fan-out results");
-  check Alcotest.bool "class2 failure noted at barrier" true
-    (List.nth states 2 = `Closed)
-
 let tests =
   [
     Alcotest.test_case "every error class token is greppable" `Quick
@@ -389,11 +311,6 @@ let tests =
       test_breaker_trips_and_recovers;
     Alcotest.test_case "failed half-open probe reopens" `Quick
       test_breaker_half_open_failure_reopens;
-    Alcotest.test_case "open breaker degrades to the fallback" `Quick
-      test_degraded_fallback;
     Alcotest.test_case "admission sheds at the limit" `Quick
       test_admission_sheds_when_full;
-    test_fanout_jobs_invariant;
-    Alcotest.test_case "frozen verdicts reject without running" `Quick
-      test_fanout_frozen_verdicts;
   ]

@@ -94,9 +94,10 @@ let test_zero_duration_events_recorded () =
       (* second wait on the same reply: satisfied at issue, zero duration *)
       Cluster.wait_reply cluster c00 ~reply:"rA" ~rcopy:0);
   ignore (Engine.run cluster.Cluster.engine);
+  let is_wait = function Trace.Wait_reply _ -> true | _ -> false in
   let waits =
     List.filter
-      (fun (e : Trace.event) -> Trace.is_wait e.Trace.kind)
+      (fun (e : Trace.event) -> is_wait e.Trace.kind)
       (Trace.events trace)
   in
   check Alcotest.int "both waits recorded" 2 (List.length waits);
@@ -114,7 +115,7 @@ let test_zero_duration_events_recorded () =
           check Alcotest.bool "attributed to DMA" false rma
       | _ -> ())
     waits;
-  let blocked = Trace.busy trace ~rid:0 ~cid:0 ~kind:Trace.is_wait in
+  let blocked = Trace.busy trace ~rid:0 ~cid:0 ~kind:is_wait in
   let real = List.find (fun e -> not (Trace.instant e)) waits in
   check (Alcotest.float 1e-15) "busy = the one real wait"
     (real.Trace.finish -. real.Trace.start)
