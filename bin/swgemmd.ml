@@ -3,9 +3,9 @@
    One shared Session (sharded plan cache -> durable store -> cold
    pipeline) serves compile/verify/stat requests over line-delimited
    JSON (protocol v1, Sw_host.Wire) on a Unix socket and/or TCP.
-   Per-client token buckets shape each peer; a Supervise envelope
-   provides global admission control, per-method circuit breakers and
-   bounded retry; SIGTERM drains gracefully — in-flight requests finish,
+   Per-client token buckets shape each peer; a Supervise gate provides
+   global admission control (bounded in-flight slots and wait queue);
+   SIGTERM drains gracefully — in-flight requests finish,
    then every listener and connection is closed before exit. *)
 
 open Cmdliner
@@ -46,7 +46,7 @@ let tune_db_arg =
 (* The [tune] wire method: params.spec like compile, optional
    params.budget / params.jobs; answers the search summary. Mounted only
    when --tune-db names a database to record winners in. *)
-let tune_extension ~db ~(session : Sw_core.Session.t) params =
+let tune_extension ~db ~jobs ~(session : Sw_core.Session.t) params =
   let module Json = Sw_obs.Json in
   match Json.member "spec" params with
   | None -> Error (Sw_arch.Error.Invalid "tune: params lack \"spec\"")
@@ -60,7 +60,7 @@ let tune_extension ~db ~(session : Sw_core.Session.t) params =
           let jobs =
             Option.value
               (Option.bind (Json.member "jobs" params) Json.to_int_opt)
-              ~default:session.Sw_core.Session.jobs
+              ~default:jobs
           in
           match
             Sw_tune.Search.run ?budget ~jobs ~db
@@ -146,7 +146,12 @@ let run common socket tcp host rate burst tune_db_dir =
           let extensions =
             match tune_db with
             | None -> []
-            | Some db -> [ ("tune", tune_extension ~db ~session) ]
+            | Some db ->
+                [
+                  ( "tune",
+                    tune_extension ~db ~jobs:common.Common_flags.jobs ~session
+                  );
+                ]
           in
           let service = Sw_core.Service.create ~extensions ~session () in
           let server =

@@ -48,12 +48,6 @@ type t =
   | Invalid of string
   | Timeout of { stage : string; elapsed_s : float; deadline_s : float }
   | Overloaded of { in_flight : int; queued : int; limit : int }
-  | Store_corrupt of { key : string; path : string; detail : string }
-  | Circuit_open of {
-      shape_class : string;
-      failures : int;
-      cooldown_s : float;
-    }
 
 exception Sim_error of t
 
@@ -70,20 +64,6 @@ let class_of = function
   | Invalid _ -> "invalid"
   | Timeout _ -> "timeout"
   | Overloaded _ -> "overloaded"
-  | Store_corrupt _ -> "store_corrupt"
-  | Circuit_open _ -> "circuit_open"
-
-(* Would a retry plausibly succeed? Transient classes (timing faults that
-   exhausted their in-run recovery, budget expiries, a quarantined store
-   entry that the next attempt recompiles) are worth retrying; structural
-   failures (deadlock, race, bounds, overflow, malformed input) and the
-   supervisor's own verdicts (timeout of the total budget, shed load, open
-   breaker) are deterministic and are not. *)
-let retryable = function
-  | Fault_exhausted _ | Watchdog _ | Store_corrupt _ -> true
-  | Deadlock _ | Race _ | Bounds _ | Overflow _ | Invalid _ | Timeout _
-  | Overloaded _ | Circuit_open _ ->
-      false
 
 let conflict_to_string c =
   let verb, prev =
@@ -156,14 +136,6 @@ let to_string = function
         "overloaded: %d request(s) in flight and %d queued (queue limit \
          %d); request shed"
         in_flight queued limit
-  | Store_corrupt { key; path; detail } ->
-      Printf.sprintf "store_corrupt: entry %s at %s quarantined: %s" key path
-        detail
-  | Circuit_open { shape_class; failures; cooldown_s } ->
-      Printf.sprintf
-        "circuit_open: shape class '%s' tripped after %d consecutive \
-         failure(s); degraded for %.3gs"
-        shape_class failures cooldown_s
 
 let () =
   Printexc.register_printer (function

@@ -58,36 +58,21 @@ type t =
     }  (** a runaway simulation was terminated by a budget *)
   | Invalid of string  (** malformed program or protocol misuse *)
   | Timeout of { stage : string; elapsed_s : float; deadline_s : float }
-      (** a supervised request ran past its deadline; [stage] names the
-          checkpoint that noticed ([admission], [pass:<name>], [store.put],
-          ...) *)
+      (** a compilation ran past its request deadline; [stage] names the
+          checkpoint that noticed ([validate], [pass:<name>], [store.get],
+          [store.put]) *)
   | Overloaded of { in_flight : int; queued : int; limit : int }
       (** admission control shed the request: the in-flight limit was
           reached and the wait queue was full *)
-  | Store_corrupt of { key : string; path : string; detail : string }
-      (** a persistent-store entry failed its integrity check and was
-          quarantined (it is never served) *)
-  | Circuit_open of {
-      shape_class : string;
-      failures : int;
-      cooldown_s : float;
-    }
-      (** the per-shape-class circuit breaker is open after repeated
-          failures; requests are rejected until the cooldown elapses *)
 
 exception Sim_error of t
 
 val class_of : t -> string
 (** Stable lowercase token naming the variant ([deadlock], [race],
     [bounds], [overflow], [fault_exhausted], [watchdog], [invalid],
-    [timeout], [overloaded], [store_corrupt], [circuit_open]). The token
-    appears verbatim in the {!to_string} rendering of the same value, so
-    logs stay greppable by class. *)
-
-val retryable : t -> bool
-(** Whether a fresh attempt could plausibly succeed: transient classes
-    ([Fault_exhausted], [Watchdog], [Store_corrupt]) are retryable;
-    structural failures and supervisor verdicts are not. *)
+    [timeout], [overloaded]). The token appears verbatim in the
+    {!to_string} rendering of the same value, so logs stay greppable by
+    class. *)
 
 val to_string : t -> string
 

@@ -122,8 +122,8 @@ let log_level_arg =
      info, warn, error). Events stream to stderr unless $(b,--log-file) is \
      given. A flight recorder is installed alongside: the last events, \
      spans and metric deltas are dumped to results/flightrec-*.json \
-     whenever a request fails, a breaker opens, a store entry is \
-     quarantined or a crash site fires."
+     whenever a request fails, a store entry is quarantined or a crash \
+     site fires."
   in
   Arg.(
     value
@@ -230,7 +230,7 @@ let session t =
       | Ok store ->
           Ok
             (Sw_core.Session.create ~no_cache:t.no_cache ?store
-               ?deadline:t.deadline ~jobs:t.jobs ~arch ()))
+               ?deadline:t.deadline ~arch ()))
 
 let with_logging ?level ?file f =
   match (level, file) with

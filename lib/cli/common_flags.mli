@@ -68,8 +68,9 @@ val open_store : string -> (Sw_host.Store.t, [ `Msg of string ]) result
 val session : t -> (Sw_core.Session.t, [ `Msg of string ]) result
 (** Resolve the whole record into a session:
     {!Sw_core.Session.create} with the resolved machine model, the
-    opened store (when [--store] was given), the deadline and the jobs
-    width. [--no-cache] disables the in-memory plan cache. *)
+    opened store (when [--store] was given) and the deadline.
+    [--no-cache] disables the in-memory plan cache; [--jobs] stays with
+    the caller, which sizes its own pools. *)
 
 val with_logging :
   ?level:Sw_obs.Log.level -> ?file:string -> (unit -> 'a) -> 'a

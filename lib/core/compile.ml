@@ -16,9 +16,7 @@ type session = {
   cache : t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
   store : Sw_host.Store.t option;
-  supervisor : Sw_host.Supervise.t option;
   deadline_s : float option;
-  jobs : int;
   tuned : (Spec.t -> (Sw_arch.Config.t * Options.t) option) option;
 }
 
@@ -55,7 +53,7 @@ let decode_plan payload =
      and let the put overwrite the entry *)
   try Some (Marshal.from_string payload 0 : t) with _ -> None
 
-let run_result_unsupervised ?token (session : session) original =
+let run_result (session : session) original =
   let { config; options; debug; cache; observer; store; _ } = session in
   (* Tuned-plan resolution happens before the cache key is formed: the
      key covers (spec, options, config), so a tuned and an untuned
@@ -66,36 +64,27 @@ let run_result_unsupervised ?token (session : session) original =
     | Some lookup ->
         Option.value (lookup original) ~default:(config, options)
   in
-  (* Cooperative deadline checkpoints: from the supervisor's token when
-     running under one (the clock starts at admission), or a local clock
-     when only [deadline_s] is set. Expiry surfaces as the typed Timeout
-     error through the normal Fail path. *)
+  (* Cooperative deadline checkpoints against a clock started here.
+     Expiry surfaces as the typed Timeout error through the normal Fail
+     path. *)
   let checkpoint =
-    match token with
-    | Some tok ->
+    match session.deadline_s with
+    | None -> fun _ -> ()
+    | Some d ->
+        let start = Unix.gettimeofday () in
         fun stage ->
-          (match Sw_host.Supervise.checkpoint ~stage tok with
-          | Ok () -> ()
-          | Error e -> raise (Fail e))
-    | None -> (
-        match session.deadline_s with
-        | None -> fun _ -> ()
-        | Some d ->
-            let start = Unix.gettimeofday () in
-            fun stage ->
-              let e = Unix.gettimeofday () -. start in
-              if e > d then
-                raise
-                  (Fail
-                     (Sw_arch.Error.Timeout
-                        { stage; elapsed_s = e; deadline_s = d })))
+          let e = Unix.gettimeofday () -. start in
+          if e > d then
+            raise
+              (Fail
+                 (Sw_arch.Error.Timeout { stage; elapsed_s = e; deadline_s = d }))
   in
   let observer =
     (* a deadline check after every executed pass: the pipeline is the
        long haul, so a stalled pass is caught at the next pass boundary *)
-    match (token, session.deadline_s) with
-    | None, None -> observer
-    | _ ->
+    match session.deadline_s with
+    | None -> observer
+    | Some _ ->
         Some
           (fun p st ->
             checkpoint ("pass:" ^ p.Pass.name);
@@ -204,17 +193,8 @@ let run_result_unsupervised ?token (session : session) original =
   with Fail e -> Error e
 
 let run (session : session) original =
-  let r =
-    match session.supervisor with
-    | None -> run_result_unsupervised session original
-    | Some sup ->
-        Sw_host.Supervise.run sup
-          ~shape_class:(Spec.to_string original)
-          ?deadline_s:session.deadline_s
-          (fun tok -> run_result_unsupervised ~token:tok session original)
-  in
-  (* One flight dump per escaped typed error, at the outermost layer —
-     retries that eventually succeed dump nothing. *)
+  let r = run_result session original in
+  (* One flight dump per escaped typed error, at the outermost layer. *)
   (match r with
   | Ok _ ->
       Sw_obs.Log.debug ~scope:"compile" "ok"

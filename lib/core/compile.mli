@@ -37,18 +37,10 @@ type session = {
       (** durable plan store, consulted between the in-memory cache and a
           cold compilation; cold plans are written back. Store I/O
           failures degrade the request to memory-only. *)
-  supervisor : Sw_host.Supervise.t option;
-      (** service envelope for {!run}: admission control, the
-          per-shape-class circuit breaker, bounded retry and the deadline
-          clock *)
   deadline_s : float option;
-      (** per-request deadline; enforced cooperatively at checkpoints
-          (compile start, every pass boundary, store reads and writes)
-          whether or not a supervisor is installed *)
-  jobs : int;
-      (** the fan-out width harnesses built on this session should use
-          (the value of [--jobs]); the compilation itself never spawns
-          domains *)
+      (** per-request deadline, on a clock that starts when {!run} is
+          called; enforced cooperatively at checkpoints (compile start,
+          every pass boundary, store reads and writes) *)
   tuned : (Spec.t -> (Sw_arch.Config.t * Options.t) option) option;
       (** tuning-DB lookup ({!Sw_tune.Search.session_hook} behind
           [--tune-db]): consulted once per request, before the cache key
@@ -72,11 +64,8 @@ val run : session -> Spec.t -> (t, Sw_arch.Error.t) result
     compilation).
 
     With a [store], the lookup order is in-memory cache → durable store →
-    cold compilation (written back to the store). With a [supervisor] the
-    whole request runs under its envelope and may additionally fail with
-    [Timeout], [Overloaded] or [Circuit_open] (shape class:
-    [Spec.to_string] of the requested spec). With a [deadline_s], expiry
-    at any checkpoint fails the request with [Timeout]. *)
+    cold compilation (written back to the store). With a [deadline_s],
+    expiry at any checkpoint fails the request with [Timeout]. *)
 
 val warm_start : session -> int
 (** Preload the session's in-memory cache from its durable store

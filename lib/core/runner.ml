@@ -256,8 +256,8 @@ let one_block_perf (compiled : Compile.t) ~k =
   | Error e -> raise (Runner_error (Sim e))
   | Ok c -> run_timing c -. compiled.Compile.config.Config.mesh_startup_s
 
-let measure ?(force_exact = false) (compiled : Compile.t) =
-  if force_exact || op_estimate compiled < 3_000_000 then
+let measure (compiled : Compile.t) =
+  if op_estimate compiled < 3_000_000 then
     measure_exact compiled
   else begin
     let spec = compiled.Compile.spec in

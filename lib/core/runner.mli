@@ -148,7 +148,7 @@ val timing_resilient :
 
 (** {2 Timing} *)
 
-val measure : ?force_exact:bool -> Compile.t -> perf
+val measure : Compile.t -> perf
 (** Timing-only simulation. Raises [Runner_error (Sim e)] for every typed
     failure [e]: a simulator failure (races, deadlock, bounds, ...) or, on
     shapes too large to simulate exactly, a failed recompile of the

@@ -9,17 +9,12 @@ type t = Compile.session = {
   cache : Compile.t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
   store : Sw_host.Store.t option;
-  supervisor : Sw_host.Supervise.t option;
   deadline_s : float option;
-  jobs : int;
   tuned : (Spec.t -> (Sw_arch.Config.t * Options.t) option) option;
 }
 
 let create ?(options = Options.all_on) ?(debug = false) ?cache
-    ?(no_cache = false) ?observer ?store ?store_dir ?supervisor ?deadline
-    ?(jobs = 1) ?tuned ~arch () =
-  if jobs < 1 then
-    invalid_arg (Printf.sprintf "Session.create: jobs = %d (need >= 1)" jobs);
+    ?(no_cache = false) ?observer ?store ?store_dir ?deadline ~arch () =
   let store =
     match (store, store_dir) with
     | Some _, Some _ ->
@@ -42,10 +37,8 @@ let create ?(options = Options.all_on) ?(debug = false) ?cache
     cache;
     observer;
     store;
-    supervisor;
     deadline_s = deadline;
-    jobs;
-    tuned;
+    tuned = None;
   }
 
 let with_options t options = { t with options }

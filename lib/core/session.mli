@@ -2,8 +2,8 @@
 
     A session bundles everything one generator instance needs — the
     machine model, the enabled optimizations, the plan cache, the durable
-    store, debug mode, the pass observer, the service supervisor, the
-    tuning-DB lookup and the fan-out width — so the CLI, the daemon ([swgemmd]), the sweep and
+    store, debug mode, the pass observer, the request deadline and the
+    tuning-DB lookup — so the CLI, the daemon ([swgemmd]), the sweep and
     bench harnesses, the runner and the multi-cluster simulator all
     compile through one value instead of a forest of optional arguments.
 
@@ -34,9 +34,7 @@ type t = Compile.session = {
   cache : Compile.t Plan_cache.t option;
   observer : (Pass.t -> Pass.state -> unit) option;
   store : Sw_host.Store.t option;
-  supervisor : Sw_host.Supervise.t option;
   deadline_s : float option;
-  jobs : int;
   tuned : (Spec.t -> (Sw_arch.Config.t * Options.t) option) option;
 }
 
@@ -48,10 +46,7 @@ val create :
   ?observer:(Pass.t -> Pass.state -> unit) ->
   ?store:Sw_host.Store.t ->
   ?store_dir:string ->
-  ?supervisor:Sw_host.Supervise.t ->
   ?deadline:float ->
-  ?jobs:int ->
-  ?tuned:(Spec.t -> (Sw_arch.Config.t * Options.t) option) ->
   arch:Sw_arch.Config.t ->
   unit ->
   t
@@ -71,11 +66,10 @@ val create :
     raises [Invalid_argument]. Call {!warm_start} to preload the
     in-memory cache from it.
 
-    [deadline] is the per-request cooperative deadline in seconds;
-    [jobs] (default 1) is the fan-out width harnesses built on this
-    session use — raises [Invalid_argument] when [jobs < 1].
+    [deadline] is the per-request cooperative deadline in seconds.
 
-    [tuned] installs the tuning-DB lookup (see {!Compile.session});
+    The session starts without a tuning-DB lookup; install one by record
+    update ([{ s with tuned = Some hook }], see {!Compile.session}) so
     requests whose shape class has a recorded winner compile under the
     tuned machine model and options instead of the session's own. *)
 

@@ -1,12 +1,10 @@
-(* Host-side fault harness: deterministic crash and stall injection.
+(* Host-side fault harness: deterministic crash injection.
 
    The simulated cluster already has a fault layer (Sw_arch.Fault); this is
-   its host-side counterpart. Durable-store writes and the supervisor's
-   attempt loop call [hit SITE] at named points; an armed plan decides, per
-   site and hit count, whether to raise (simulating abrupt death that
-   leaves partial on-disk state behind), SIGKILL the whole process (the CI
-   chaos job's restart cycle), or stall the task (to trip a supervised
-   deadline at the next checkpoint).
+   its host-side counterpart. Durable-store writes call [hit SITE] at named
+   points; an armed plan decides, per site and hit count, whether to raise
+   (simulating abrupt death that leaves partial on-disk state behind) or
+   SIGKILL the whole process (the CI chaos job's restart cycle).
 
    Arming is either programmatic ([with_plan], used by the in-process chaos
    tests) or via the environment variable SWGEMM_CRASH_AT=SITE:N[:kill],
@@ -16,7 +14,6 @@
 type action =
   | Raise  (* abort the current request, leaving partial state behind *)
   | Kill  (* SIGKILL the whole process: the restart-recovery drill *)
-  | Stall of float  (* sleep this many seconds, then continue *)
 
 exception Crashed of string
 
@@ -92,8 +89,8 @@ let with_plan p f =
   arm p;
   Fun.protect ~finally:disarm f
 
-(* What to do for this hit, decided under the lock; the action itself runs
-   outside it so a Stall never blocks other sites. *)
+(* What to do for this hit, decided under the lock; the action itself (a
+   flight dump that writes a file) runs outside it. *)
 let decide site =
   Mutex.lock lock;
   load_env ();
@@ -144,11 +141,7 @@ let hit site =
           (* dump the flight record, then die abruptly: nothing else is
              flushed — partial on-disk state is the point of the drill *)
           flight_dump site "kill";
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-      | Some (Stall d) ->
-          Sw_obs.Metrics.incr_a ~labels:[ ("site", site) ]
-            "host_fault.stalls_total";
-          Unix.sleepf d)
+          Unix.kill (Unix.getpid ()) Sys.sigkill)
 
 let () =
   Printexc.register_printer (function

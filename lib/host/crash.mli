@@ -1,8 +1,7 @@
-(** Host-side fault harness: deterministic crash and stall injection.
+(** Host-side fault harness: deterministic crash injection.
 
     The host counterpart of {!Sw_arch.Fault}. Crash-sensitive host code —
-    the durable store's write path, the supervisor's attempt loop — calls
-    {!hit} at named sites; an armed plan fires an {!action} at a chosen
+    the durable store's write path — calls {!hit} at named sites; an armed plan fires an {!action} at a chosen
     hit count. Nothing armed means every [hit] is a single ref read.
 
     Sites currently instrumented:
@@ -10,7 +9,6 @@
     - [store.put.commit] — after the atomic rename, before the manifest
       update
     - [store.manifest] — before the manifest's atomic rename
-    - [supervise.attempt] — at the start of each supervised attempt
 
     The environment variable [SWGEMM_CRASH_AT=SITE:N[:kill|:raise]] arms a
     one-trigger plan at load time (default action [Kill]); the CI
@@ -20,7 +18,6 @@
 type action =
   | Raise  (** abort the request with {!Crashed}, leaving partial state *)
   | Kill  (** SIGKILL the process: the restart-recovery drill *)
-  | Stall of float  (** sleep, then continue (trips supervised deadlines) *)
 
 exception Crashed of string
 (** Raised by a [Raise] trigger; the payload is the site name. *)

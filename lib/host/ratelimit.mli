@@ -12,7 +12,7 @@
     per-client fairness ("is {e this peer} too chatty?"), while
     {!Supervise} answers global capacity ("is the {e service} full?").
     The server consults the limiter first — a shed here is cheap (no
-    slot taken, no breaker touched) and surfaces as the same typed
+    slot taken) and surfaces as the same typed
     [overloaded] wire error class.
 
     The clock is injectable so tests drive refill deterministically.

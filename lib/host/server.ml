@@ -109,8 +109,7 @@ let handle_line t ~client line =
             match t.supervisor with
             | None -> t.handler ~client ~meth ~params
             | Some sup ->
-                Supervise.run sup ~shape_class:meth (fun _tok ->
-                    t.handler ~client ~meth ~params))
+                Supervise.run sup (fun () -> t.handler ~client ~meth ~params))
       in
       note_outcome t ~meth ~shed:!shed
         ~seconds:(Unix.gettimeofday () -. t0)

@@ -2,7 +2,7 @@
     and TCP sockets, one thread per connection.
 
     The server is generic over what requests {e mean}: it owns framing,
-    rate limiting, the supervision envelope and drain, and delegates
+    rate limiting, admission control and drain, and delegates
     each decoded request to a [handler] callback — the GEMM-specific
     dispatch (compile/verify/stat) lives upstream in [Sw_core.Service],
     keeping this library free of any dependency on the compiler.
@@ -10,8 +10,8 @@
     Request path, in order: frame decode (protocol violations earn an
     [invalid] error frame, never a crash) → per-client {!Ratelimit}
     ([overloaded], shed before any slot is taken) → the {!Supervise}
-    envelope when one is installed (admission, breaker, retry — global
-    backpressure, also [overloaded]) → the handler. Every outcome is
+    admission gate when one is installed (global backpressure, also
+    [overloaded]) → the handler, called once. Every outcome is
     exactly one response frame carrying the request's id.
 
     {b Drain.} {!drain} only sets an atomic flag (safe from a signal

@@ -1,8 +1,8 @@
 (* Flight recorder: process-global bounded ring of recent observability
    records, dumped to results/flightrec-*.json on failure triggers.
 
-   Global, not domain-local: trigger sites (store quarantine, breaker
-   transitions, crash sites) fire from pool worker domains and the
+   Global, not domain-local: trigger sites (store quarantine, compile
+   failures, crash sites) fire from pool worker domains and the
    post-mortem must interleave everything the process did. One mutex
    guards the ring; the dump gathers under the lock and writes the file
    outside it. Off by default: with no recorder installed, [record] and

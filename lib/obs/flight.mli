@@ -2,11 +2,10 @@
     dumped atomically to a JSON file when something goes wrong.
 
     The recorder is the post-mortem side of [sw_obs]: {!Log} events,
-    completed ambient spans, breaker transitions, store operations and
-    crash-site hits are all {!record}ed into one process-global ring
-    (capacity-bounded, oldest overwritten first). When a typed error
-    escapes [Compile.run], a circuit breaker opens, a store entry is
-    quarantined or a [Sw_host.Crash] site fires, the triggering site calls
+    completed ambient spans, store operations and crash-site hits are
+    all {!record}ed into one process-global ring (capacity-bounded,
+    oldest overwritten first). When a typed error escapes [Compile.run],
+    a store entry is quarantined or a [Sw_host.Crash] site fires, the triggering site calls
     {!trigger} and the last N records — plus a snapshot of the ambient
     metrics registry, when one is installed — land in
     [<dir>/flightrec-<ts>.json], written atomically via a temp file.
@@ -21,7 +20,7 @@
     site is a single ref read when no recorder is installed. *)
 
 type record = {
-  kind : string;  (** "log", "span", "breaker", "store", "crash" *)
+  kind : string;  (** "log", "span", "store", "crash" *)
   ts : float;  (** seconds, from the recorder's clock *)
   body : Json.t;
 }

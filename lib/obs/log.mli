@@ -2,7 +2,7 @@
 
     The narrative side of [sw_obs]: where {!Metrics} counts and {!Span}
     times, [Log] records {e what happened} — store puts and quarantines,
-    breaker transitions, retries, compile failures — as one JSON object
+    admission sheds, compile failures — as one JSON object
     per line, machine-parseable by the same strict {!Json} parser that
     reads every other artifact of this layer.
 
@@ -36,7 +36,7 @@ type event = {
   ts : float;  (** seconds since the epoch, from the logger's clock *)
   level : level;
   scope : string;  (** subsystem: "store", "supervise", "compile", ... *)
-  name : string;  (** event name within the scope: "put", "breaker.open" *)
+  name : string;  (** event name within the scope: "put", "admission.shed" *)
   fields : (string * field) list;
 }
 

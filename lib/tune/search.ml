@@ -39,10 +39,7 @@ let measure_realized ~(spec : Spec.t) (c : Space.candidate)
     Session.create ~no_cache:true ~options:rz.Space.options ~arch:rz.Space.cfg
       ()
   in
-  match
-    try Compile.run session gemm_spec
-    with Sw_arch.Error.Sim_error e -> Error e
-  with
+  match Compile.run session gemm_spec with
   | Error e -> Error (Sw_arch.Error.to_string e)
   | Ok compiled -> (
       match

@@ -247,7 +247,7 @@ let test_extrapolation_forced () =
      the exact simulation. *)
   let spec = Spec.make ~m:32 ~n:32 ~k:128 () in
   let c = compile spec in
-  let exact = Runner.measure ~force_exact:true c in
+  let exact = Runner.measure_exact c in
   let t = c.Compile.tiles in
   ignore t;
   let blocks =

@@ -1,7 +1,7 @@
 (* Tests of the forensic observability added in this layer: the bounded
    flight-recorder ring (Sw_obs.Flight), the structured JSON-lines event
-   log (Sw_obs.Log) with its parse round-trip, the dump-on-failure
-   triggers wired through Compile/Supervise/Store, and the determinism of
+   log (Sw_obs.Log), the dump-on-failure triggers wired through
+   Compile/Store, and the determinism of
    absorbed log order under the pool width. *)
 
 open Sw_obs
@@ -124,11 +124,10 @@ let test_dump_once_per_failure () =
     (Array.length (Sys.readdir dir))
 
 (* ------------------------------------------------------------------ *)
-(* The acceptance scenario: breaker opens -> flightrec with the breaker  *)
-(* transition and the recent store narrative                            *)
+(* A failed compile -> flightrec with the recent store narrative        *)
 (* ------------------------------------------------------------------ *)
 
-let test_flightrec_on_breaker_open () =
+let test_flightrec_on_error () =
   let dir = fresh_dir () in
   Flight.install (Flight.create ~dir ());
   Log.install (Log.create ~min_level:Log.Debug ~clock:(fun () -> 0.0) ());
@@ -137,7 +136,7 @@ let test_flightrec_on_breaker_open () =
       Log.uninstall ())
   @@ fun () ->
   (* a couple of store operations land in the log, and through it in the
-     flight ring, before the failures start *)
+     flight ring, before the failure *)
   let store =
     Sw_host.Store.open_ ~schema:Compile.store_schema ~dir:(fresh_dir ()) ()
   in
@@ -146,32 +145,13 @@ let test_flightrec_on_breaker_open () =
   (match Sw_host.Store.get store ~key with
   | Some _ -> ()
   | None -> Alcotest.fail "store get missed");
-  let policy =
-    {
-      Sw_host.Supervise.default_policy with
-      Sw_host.Supervise.breaker_threshold = 2;
-      max_attempts = 1;
-    }
-  in
-  let sup =
-    Sw_host.Supervise.create ~policy ~now:(fun () -> 0.0)
-      ~sleep:(fun _ -> ())
-      ()
-  in
   let session =
-    Session.create ~options:bad_options ~store ~supervisor:sup
-      ~arch:(Config.tiny ()) ()
+    Session.create ~options:bad_options ~store ~arch:(Config.tiny ()) ()
   in
-  let spec = Spec.make ~m:64 ~n:64 ~k:64 () in
-  for _ = 1 to 2 do
-    match Session.run session spec with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "expected failure"
-  done;
-  check Alcotest.bool "breaker opened" true
-    (Sw_host.Supervise.breaker_state sup (Spec.to_string spec) = `Open);
-  (* among the dumps there is one for the breaker opening, and it holds
-     both the breaker transition record and the logged store operations *)
+  (match Session.run session (Spec.make ~m:64 ~n:64 ~k:64 ()) with
+  | Error (Error.Invalid _) -> ()
+  | _ -> Alcotest.fail "expected a typed Invalid error");
+  (* the failure's dump holds the logged store operations *)
   let dumps =
     Array.to_list (Sys.readdir dir)
     |> List.map (fun f ->
@@ -182,8 +162,8 @@ let test_flightrec_on_breaker_open () =
   let reason j =
     Option.bind (Json.member "reason" j) Json.to_string_opt
   in
-  match List.find_opt (fun j -> reason j = Some "breaker.open") dumps with
-  | None -> Alcotest.fail "no flightrec with reason breaker.open"
+  match List.find_opt (fun j -> reason j = Some "error.invalid") dumps with
+  | None -> Alcotest.fail "no flightrec with reason error.invalid"
   | Some j ->
       let records =
         match Json.member "records" j with
@@ -193,8 +173,6 @@ let test_flightrec_on_breaker_open () =
       let kind_of r =
         Option.bind (Json.member "kind" r) Json.to_string_opt
       in
-      check Alcotest.bool "breaker transition recorded" true
-        (List.exists (fun r -> kind_of r = Some "breaker") records);
       let scope_of r =
         Option.bind (Json.member "body" r) (fun b ->
             Option.bind (Json.member "scope" b) Json.to_string_opt)
@@ -242,8 +220,8 @@ let tests =
       test_inert_when_uninstalled;
     Alcotest.test_case "flight: exactly one dump per escaped failure" `Quick
       test_dump_once_per_failure;
-    Alcotest.test_case "flight: breaker.open dump carries the evidence"
-      `Quick test_flightrec_on_breaker_open;
+    Alcotest.test_case "flight: error dump carries the store narrative"
+      `Quick test_flightrec_on_error;
     Alcotest.test_case "log: absorbed order invariant under --jobs" `Quick
       test_jobs_invariant_log_order;
   ]

@@ -147,9 +147,10 @@ let test_measure_reports_jobs () =
    session's; each job must then run on the model it was compiled for. *)
 let test_verify_tuned ~session_arch ~tuned_arch () =
   let session =
-    Session.create ~no_cache:true
-      ~tuned:(fun _ -> Some (tuned_arch, Options.all_on))
-      ~arch:session_arch ()
+    {
+      (Session.create ~no_cache:true ~arch:session_arch ()) with
+      Session.tuned = Some (fun _ -> Some (tuned_arch, Options.all_on));
+    }
   in
   let p = plan_ok (Spec.make ~m:24 ~n:16 ~k:12 ()) ~clusters:6 in
   match Multi_sim.verify ~jobs:1 session p with

@@ -228,6 +228,44 @@ let tiny_service () =
   let session = Sw_core.Session.create ~arch:(Config.tiny ()) () in
   Sw_core.Service.create ~session ()
 
+(* Wired as swgemmd wires it: the default admission gate in front of the
+   real service. Requests are deterministic, so one client's malformed
+   compiles must not change what another client's valid compile gets. *)
+let test_failures_do_not_refuse_others () =
+  let service = tiny_service () in
+  let server =
+    Server.create ~supervisor:(Sw_host.Supervise.create ())
+      ~handler:(Sw_core.Service.handler service)
+      ()
+  in
+  let compile ~client ~id params =
+    (decode_exn
+       (Server.handle_line server ~client (request ~id ~params "compile")))
+      .Wire.body
+  in
+  for i = 1 to 6 do
+    match
+      compile ~client:"mallory" ~id:(string_of_int i)
+        (Json.Obj [ ("spec", Json.String "not a spec") ])
+    with
+    | Result.Error { Wire.err_class = "invalid"; _ } -> ()
+    | Result.Error { Wire.err_class; message } ->
+        Alcotest.failf "malformed compile %d: want invalid, got %s: %s" i
+          err_class message
+    | Ok _ -> Alcotest.failf "malformed compile %d answered ok" i
+  done;
+  let spec = Sw_core.Spec.make ~m:32 ~n:32 ~k:32 () in
+  (match
+     compile ~client:"alice" ~id:"7"
+       (Json.Obj [ ("spec", Sw_core.Spec.to_json spec) ])
+   with
+  | Ok _ -> ()
+  | Result.Error { Wire.err_class; message } ->
+      Alcotest.failf "valid compile refused: %s: %s" err_class message);
+  let s = Server.stats server in
+  check Alcotest.int "six errored" 6 s.Server.errored;
+  check Alcotest.int "none shed" 0 s.Server.shed
+
 let test_loopback_smoke () =
   let service = tiny_service () in
   let server =
@@ -419,6 +457,8 @@ let tests =
       test_handle_line_path;
     Alcotest.test_case "rate limiter sheds as overloaded" `Quick
       test_handle_line_sheds;
+    Alcotest.test_case "failing requests do not refuse other clients" `Quick
+      test_failures_do_not_refuse_others;
     Alcotest.test_case "loopback smoke: ping, compile, unknown" `Quick
       test_loopback_smoke;
     Alcotest.test_case "profile method: measures, total on bad params" `Quick

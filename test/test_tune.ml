@@ -356,7 +356,12 @@ let test_session_tuned_hook () =
   let far = Spec.make ~m:512 ~n:512 ~k:512 () in
   Alcotest.(check bool) "unknown class -> None" true (hook far = None);
   (* end to end: a session with the hook compiles under the winner *)
-  let session = Session.create ~no_cache:true ~tuned:hook ~arch:tiny () in
+  let session =
+    {
+      (Session.create ~no_cache:true ~arch:tiny ()) with
+      Session.tuned = Some hook;
+    }
+  in
   let compiled = Compile.run_exn session spec64 in
   let wm, wn, wk = o.Search.winner.Space.mk in
   check Alcotest.int "compiled with tuned mk_m" wm
