@@ -19,9 +19,10 @@ let config = Config.sw26010pro
 let peak = Config.peak_gflops config
 
 (* Machine-readable sink: alongside its text and CSVs, every series lands
-   in results/BENCH_<series>.json — the tables, a generated-kernel Gflops
-   summary, wall-clock, and (under --metrics) the metrics recorded while
-   it ran. Written silently so stdout stays byte-identical. *)
+   in BENCH_<series>.json under the results directory — the tables, a
+   generated-kernel Gflops summary, wall-clock, and (under --metrics) the
+   metrics recorded while it ran. Written silently so stdout stays
+   byte-identical. *)
 let metrics_registry = ref None
 let json_tables = ref []
 let gflops_log = ref []
@@ -55,10 +56,30 @@ let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 let header title =
   Printf.printf "\n==================== %s ====================\n" title
 
-(* CSV sink: every figure also lands in results/<name>.csv for re-plotting. *)
+(* The directory every series writes its CSVs and BENCH json into:
+   results/ for a plain run; `check` points it at the git-ignored
+   results/check/, so checking never rewrites the committed reference
+   files (only `check --write` refreshes those). *)
+let results_dir = ref "results"
+
+let bench_result_path name =
+  Filename.concat !results_dir ("BENCH_" ^ name ^ ".json")
+
+(* [file] under the results directory, which is created on first write *)
+let writable_path file =
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  mkdir_p !results_dir;
+  Filename.concat !results_dir file
+
+(* CSV sink: every figure also lands in <results>/<name>.csv for re-plotting. *)
 let csv name columns rows =
-  (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let oc = open_out (Filename.concat "results" (name ^ ".csv")) in
+  let path = writable_path (name ^ ".csv") in
+  let oc = open_out path in
   output_string oc (String.concat "," columns);
   output_char oc '\n';
   List.iter
@@ -81,7 +102,7 @@ let csv name columns rows =
                  rows) );
         ] )
     :: !json_tables;
-  Printf.printf "[wrote results/%s.csv]\n" name
+  Printf.printf "[wrote %s]\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 13: square GEMM breakdown                                       *)
@@ -730,7 +751,7 @@ let arch () =
     pmap
       (fun (name, (m, n, k)) ->
         let cfg =
-          match Arch_desc.config_of_name name with
+          match Config.find name with
           | Some c -> c
           | None -> failwith ("unknown preset " ^ name)
         in
@@ -920,19 +941,19 @@ let run_series name f =
       ]
   in
   Sw_obs.Json.write_file ~pretty:true
-    ~path:(Filename.concat "results" ("BENCH_" ^ name ^ ".json"))
+    ~path:(writable_path ("BENCH_" ^ name ^ ".json"))
     json
 
 (* ------------------------------------------------------------------ *)
 (* Perf-regression sentinel                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* `check` re-runs the fast, deterministic series and compares their
-   BENCH_*.json against tolerance-band baselines committed under
-   bench/baselines/. Gflops come from the calibrated machine model, so
-   they are bit-stable and get a tight band; wall clock varies by host
-   and only catches order-of-magnitude rot; row counts are structural
-   and get zero tolerance (a deliberate change re-runs `check --write`). *)
+(* `check` re-runs the fast, deterministic series into results/check/ and
+   compares their BENCH_*.json against tolerance-band baselines committed
+   under bench/baselines/. Gflops come from the calibrated machine model,
+   so they are bit-stable and get a tight band; wall clock varies by host
+   and only catches order-of-magnitude rot; row counts are structural and
+   get zero tolerance (a deliberate change re-runs `check --write`). *)
 
 let sentinel_series = [ "arch"; "cost"; "durability"; "service"; "tune" ]
 
@@ -973,9 +994,6 @@ let resolve path json =
         match member seg j with Some j -> walk j rest | None -> None)
   in
   walk json (String.split_on_char '.' path)
-
-let bench_result_path name =
-  Filename.concat "results" ("BENCH_" ^ name ^ ".json")
 
 let write_baseline ~baseline_dir name =
   let open Sw_obs.Json in
@@ -1056,10 +1074,22 @@ let all_series =
   ]
 
 let check ~baseline_dir ~compare_only ~write =
+  results_dir := Filename.concat "results" "check";
   if not compare_only then
     List.iter (fun n -> run_series n (List.assoc n all_series)) sentinel_series;
   if write then begin
     List.iter (write_baseline ~baseline_dir) sentinel_series;
+    (* the committed reference results move together with the baselines
+       cut from them *)
+    List.iter
+      (fun n ->
+        let data =
+          In_channel.with_open_bin (bench_result_path n) In_channel.input_all
+        in
+        Out_channel.with_open_bin
+          (Filename.concat "results" ("BENCH_" ^ n ^ ".json"))
+          (fun oc -> Out_channel.output_string oc data))
+      sentinel_series;
     Printf.printf "bench check: wrote baselines for %s to %s\n"
       (String.concat ", " sentinel_series)
       baseline_dir
@@ -1107,13 +1137,17 @@ let () =
   in
   let compare_only_arg =
     let doc =
-      "With $(b,check): compare the existing results/BENCH_*.json without \
-       re-running the series."
+      "With $(b,check): compare the results/check/BENCH_*.json of the last \
+       check without re-running the series."
     in
     Arg.(value & flag & info [ "compare-only" ] ~doc)
   in
   let write_arg =
-    let doc = "With $(b,check): re-pin the baselines from fresh results." in
+    let doc =
+      "With $(b,check): re-pin the baselines from the results in \
+       results/check/ and copy those results over the committed \
+       results/BENCH_*.json."
+    in
     Arg.(value & flag & info [ "write" ] ~doc)
   in
   let baselines_arg =

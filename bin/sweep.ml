@@ -4,7 +4,7 @@
    transposes, alpha/beta, fusion patterns and optimization levels; each
    generated program is executed functionally on the simulated cluster and
    checked against the reference. --arch NAME pins every trial to one
-   Arch_desc preset instead of the drawn tiny meshes (the parameter stream
+   Config preset instead of the drawn tiny meshes (the parameter stream
    is drawn regardless, so trial specs are identical either way). Heavier
    than the unit suite; run with `dune exec bin/sweep.exe`.
 

@@ -845,19 +845,18 @@ let fuzz_cmd =
                       (fun (r : Sw_tune.Tune_db.record) ->
                         match
                           List.find_opt
-                            (fun (d : Arch_desc.t) ->
-                              Sw_tune.Tune_db.mesh_class (Arch_desc.to_config d)
+                            (fun c ->
+                              Sw_tune.Tune_db.mesh_class c
                               = r.Sw_tune.Tune_db.mesh_class)
-                            Arch_desc.all
+                            Config.all
                         with
                         | None -> None
-                        | Some d ->
+                        | Some c ->
                             let m, n, k =
                               r.Sw_tune.Tune_db.winner.Sw_tune.Space.mk
                             in
                             let id =
-                              Printf.sprintf "%s@%dx%dx%d" d.Arch_desc.name m
-                                n k
+                              Printf.sprintf "%s@%dx%dx%d" c.Config.name m n k
                             in
                             Sw_check.Case.config_id_of_string id)
                       recs
@@ -893,7 +892,7 @@ let fuzz_cmd =
                     (`Msg
                       (Printf.sprintf "--arch: unknown preset '%s' (known: %s)"
                          n
-                         (String.concat ", " (Arch_desc.names ()))))
+                         (String.concat ", " (Config.names ()))))
               | None -> Ok (Some (Array.of_list names)))
         in
         match
@@ -960,94 +959,80 @@ let fuzz_cmd =
 (* arch                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let spm_budget_line d =
-  let needed = Arch_desc.spm_needed_bytes d in
-  Printf.sprintf "%d/%d bytes %s" needed d.Arch_desc.spm_bytes
-    (if needed <= d.Arch_desc.spm_bytes then "ok" else "OVERFLOW")
+let spm_budget_line (c : Config.t) =
+  let needed = Config.spm_needed_bytes c in
+  Printf.sprintf "%d/%d bytes %s" needed c.spm_bytes
+    (if needed <= c.spm_bytes then "ok" else "OVERFLOW")
 
 let arch_cmd =
   let list_run () =
     Printf.printf "%-16s %-7s %-11s %10s %12s  %s\n" "NAME" "MESH"
       "MICROKERNEL" "SPM" "PEAK" "SPM BUDGET";
     List.iter
-      (fun (d : Arch_desc.t) ->
-        Printf.printf "%-16s %-7s %-11s %10d %9.2f GF  %s\n" d.Arch_desc.name
-          (Printf.sprintf "%dx%d" d.Arch_desc.mesh.Arch_desc.rows
-             d.Arch_desc.mesh.Arch_desc.cols)
-          (Printf.sprintf "%dx%dx%d" d.Arch_desc.mk.Arch_desc.m
-             d.Arch_desc.mk.Arch_desc.n d.Arch_desc.mk.Arch_desc.k)
-          d.Arch_desc.spm_bytes (Arch_desc.peak_gflops d)
-          (spm_budget_line d))
-      Arch_desc.all;
+      (fun (c : Config.t) ->
+        Printf.printf "%-16s %-7s %-11s %10d %9.2f GF  %s\n" c.name
+          (Printf.sprintf "%dx%d" c.mesh_rows c.mesh_cols)
+          (Printf.sprintf "%dx%dx%d" c.mk_m c.mk_n c.mk_k)
+          c.spm_bytes (Config.peak_gflops c) (spm_budget_line c))
+      Config.all;
     print_endline "aliases: tiny-2x2 = tiny2, tiny-4x4 = tiny4";
     Ok ()
   in
   let show_run name arch_file json =
-    let desc =
+    let config =
       match arch_file with
       | Some path ->
           Result.map_error
             (fun e -> `Msg ("--arch-file: " ^ e))
-            (Arch_desc.load_file path)
+            (Config.load_file path)
       | None -> (
           match name with
           | None -> Error (`Msg "give a preset NAME or --arch-file FILE")
           | Some n -> (
-              match Arch_desc.find n with
-              | Some d -> Ok d
+              match Config.find n with
+              | Some c -> Ok c
               | None ->
                   Error
                     (`Msg
                       (Printf.sprintf "unknown preset '%s' (known: %s)" n
-                         (String.concat ", " (Arch_desc.names ()))))))
+                         (String.concat ", " (Config.names ()))))))
     in
-    match desc with
+    match config with
     | Error e -> Error e
-    | Ok d ->
+    | Ok (c : Config.t) ->
         if json then (
-          print_endline
-            (Sw_obs.Json.to_string ~pretty:true (Arch_desc.to_json d));
+          print_endline (Sw_obs.Json.to_string ~pretty:true (Config.to_json c));
           Ok ())
         else begin
-          let m = d.Arch_desc.mesh in
-          let mk = d.Arch_desc.mk in
-          Printf.printf "%s\n" d.Arch_desc.name;
-          Printf.printf "  mesh:         %dx%d (%d CPEs)\n" m.Arch_desc.rows
-            m.Arch_desc.cols (m.Arch_desc.rows * m.Arch_desc.cols);
+          Printf.printf "%s\n" c.name;
+          Printf.printf "  mesh:         %dx%d (%d CPEs)\n" c.mesh_rows
+            c.mesh_cols (c.mesh_rows * c.mesh_cols);
           Printf.printf "  micro-kernel: %dx%dx%d (efficiency %.3f, call \
                          overhead %.3g s)\n"
-            mk.Arch_desc.m mk.Arch_desc.n mk.Arch_desc.k
-            mk.Arch_desc.efficiency mk.Arch_desc.call_overhead_s;
-          Printf.printf "  peak:         %.2f Gflops\n"
-            (Arch_desc.peak_gflops d);
-          Printf.printf "  SPM:          %s\n" (spm_budget_line d);
+            c.mk_m c.mk_n c.mk_k c.micro_kernel_efficiency
+            c.kernel_call_overhead_s;
+          Printf.printf "  peak:         %.2f Gflops\n" (Config.peak_gflops c);
+          Printf.printf "  SPM:          %s\n" (spm_budget_line c);
           Printf.printf "  CPE:          %.3g Hz, %g SIMD flops/cycle, %g \
                          naive flops/cycle, %g ew cycles/elem\n"
-            d.Arch_desc.cpe.Arch_desc.freq_hz
-            d.Arch_desc.cpe.Arch_desc.simd_flops_per_cycle
-            d.Arch_desc.cpe.Arch_desc.naive_flops_per_cycle
-            d.Arch_desc.cpe.Arch_desc.ew_cycles_per_elem;
+            c.cpe_freq_hz c.cpe_simd_flops_per_cycle
+            c.cpe_naive_flops_per_cycle c.ew_cpe_cycles_per_elem;
           Printf.printf "  DMA:          %.3g B/s, latency %.3g s\n"
-            d.Arch_desc.dma.Arch_desc.bw_bytes_per_s
-            d.Arch_desc.dma.Arch_desc.latency_s;
+            c.mem_bw_bytes_per_s c.dma_latency_s;
           Printf.printf "  RMA:          %.3g B/s, latency %.3g s\n"
-            d.Arch_desc.rma.Arch_desc.bw_bytes_per_s
-            d.Arch_desc.rma.Arch_desc.latency_s;
+            c.rma_bw_bytes_per_s c.rma_latency_s;
           Printf.printf "  sync:         %.3g s; mesh startup %.3g s\n"
-            d.Arch_desc.sync_latency_s d.Arch_desc.mesh_startup_s;
+            c.sync_latency_s c.mesh_startup_s;
           Printf.printf "  MPE:          %.3g Hz, stream %.3g B/s\n"
-            d.Arch_desc.mpe.Arch_desc.mpe_freq_hz
-            d.Arch_desc.mpe.Arch_desc.stream_bw_bytes_per_s;
+            c.mpe_freq_hz c.mpe_stream_bw_bytes_per_s;
           Printf.printf "  NoC:          link %.3g B/s, src %.3g B/s, \
                          latency %.3g s\n"
-            d.Arch_desc.noc.Arch_desc.link_bw_bytes_per_s
-            d.Arch_desc.noc.Arch_desc.src_bw_bytes_per_s
-            d.Arch_desc.noc.Arch_desc.noc_latency_s;
-          (match Arch_desc.validate d with
+            c.noc_link_bw_bytes_per_s c.noc_src_bw_bytes_per_s c.noc_latency_s;
+          (match Config.validate c with
           | Ok () -> Printf.printf "  validation:   ok\n"
           | Error e ->
               Printf.printf "  validation:   FAILED: %s\n"
-                (Arch_desc.error_to_string e));
+                (Config.error_to_string e));
           Ok ()
         end
   in

@@ -30,7 +30,9 @@ let create ?trace ?faults ~config ~functional ~mem () =
   (match Config.validate config with
   | Ok () -> ()
   | Error e ->
-      raise (Error.Sim_error (Error.Invalid ("Cluster.create: " ^ e))));
+      raise
+        (Error.Sim_error
+           (Error.Invalid ("Cluster.create: " ^ Config.error_to_string e))));
   let engine = Engine.create () in
   let mk_cpe rid cid =
     {

@@ -26,7 +26,7 @@ let mk_of_string s =
 
 let resolve_id s =
   let preset, override = split_id s in
-  match (Sw_arch.Arch_desc.config_of_name preset, override) with
+  match (Sw_arch.Config.find preset, override) with
   | None, _ -> None
   | Some c, None -> Some c
   | Some c, Some mk -> (

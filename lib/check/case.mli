@@ -7,7 +7,7 @@
     JSON round-trip is the on-disk format of corpus and repro files. *)
 
 type config_id = string
-(** The name of an {!Sw_arch.Arch_desc} preset, optionally with a
+(** The name of an {!Sw_arch.Config} preset, optionally with a
     micro-kernel override: ["tiny4"] is the preset as registered,
     ["tiny4\@8x8x4"] the same machine with an 8x8x4 micro kernel — the
     form tuned winners take when the tuning DB feeds the fuzzer. Only

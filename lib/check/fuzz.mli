@@ -13,7 +13,7 @@ type settings = {
   seed : int;
   jobs : int;
   archs : Case.config_id array option;
-      (** machine pool for fresh cases ({!Sw_arch.Arch_desc} preset names);
+      (** machine pool for fresh cases ({!Sw_arch.Config} preset names);
           [None] uses the default tiny mix *)
   fault : (int array * Sw_arch.Fault.kind list option) option;
       (** fault plan seeds and kinds; [None] disables injection *)

@@ -180,21 +180,21 @@ let term =
 
 let resolve_config ~tiny ~arch ~arch_file =
   match arch_file with
-  | Some path -> (
-      match Sw_arch.Arch_desc.load_file path with
-      | Ok d -> Ok (Sw_arch.Arch_desc.to_config d)
-      | Error e -> Error (`Msg ("--arch-file: " ^ e)))
+  | Some path ->
+      Result.map_error
+        (fun e -> `Msg ("--arch-file: " ^ e))
+        (Sw_arch.Config.load_file path)
   | None -> (
       match arch with
       | Some name -> (
-          match Sw_arch.Arch_desc.config_of_name name with
+          match Sw_arch.Config.find name with
           | Some c -> Ok c
           | None ->
               Error
                 (`Msg
                   (Printf.sprintf "--arch: unknown preset '%s' (known: %s)"
                      name
-                     (String.concat ", " (Sw_arch.Arch_desc.names ())))))
+                     (String.concat ", " (Sw_arch.Config.names ())))))
       | None ->
           Ok
             (if tiny then Sw_arch.Config.tiny ()

@@ -38,7 +38,7 @@ let flops t = Spec.flops t.spec
    OCaml versions — Marshal images are not portable across builds) makes
    every existing entry stale, so a marshalled plan from another build is
    deleted on sight, never decoded. *)
-let plan_schema = "swgemm-plan-v1"
+let plan_schema = "swgemm-plan-v2"
 let store_schema = plan_schema ^ "/" ^ Sys.ocaml_version
 
 (* Compile.t is closure-free plain data end to end (specs, options,
@@ -104,7 +104,8 @@ let run_result (session : session) original =
     (match Options.validate options with Ok () -> () | Error e -> fail "%s" e);
     (match Sw_arch.Config.validate config with
     | Ok () -> ()
-    | Error e -> fail "invalid machine model: %s" e);
+    | Error e ->
+        fail "invalid machine model: %s" (Sw_arch.Config.error_to_string e));
     let cold () =
       let spec = Spec.pad_for original config in
       let tiles = Tile_model.choose spec config in

@@ -2,23 +2,6 @@ open Sw_arch
 open Sw_blas
 open Sw_core
 
-type noc = {
-  link_bw_bytes_per_s : float;
-  src_bw_bytes_per_s : float;
-  latency_s : float;
-}
-
-(* Calibration lives in {!Arch_desc.default_noc}; this is the same record
-   shape minus the field-name prefix. *)
-let noc_of_desc (n : Arch_desc.noc) =
-  {
-    link_bw_bytes_per_s = n.Arch_desc.link_bw_bytes_per_s;
-    src_bw_bytes_per_s = n.Arch_desc.src_bw_bytes_per_s;
-    latency_s = n.Arch_desc.noc_latency_s;
-  }
-
-let default_noc = noc_of_desc Arch_desc.default_noc
-
 type stats = {
   seconds : float;
   gflops : float;
@@ -42,7 +25,8 @@ let pool_map ?jobs f xs =
 
 let grid_key (j : Plan.job) = (j.Plan.grid_row, j.Plan.grid_col)
 
-let measure ?(noc = default_noc) ?jobs (session : Session.t) (plan : Plan.t) =
+let measure ?jobs (session : Session.t) (plan : Plan.t) =
+  let config = session.Session.config in
   let timed =
     pool_map ?jobs
       (fun (j : Plan.job) ->
@@ -62,12 +46,14 @@ let measure ?(noc = default_noc) ?jobs (session : Session.t) (plan : Plan.t) =
   let max_link =
     List.fold_left
       (fun acc j ->
-        Float.max acc (float_of_int (job_bytes j) /. noc.link_bw_bytes_per_s))
+        Float.max acc
+          (float_of_int (job_bytes j) /. config.Config.noc_link_bw_bytes_per_s))
       0.0 plan.Plan.jobs
   in
   let distribution_s =
-    Float.max max_link (float_of_int total_bytes /. noc.src_bw_bytes_per_s)
-    +. (2.0 *. noc.latency_s)
+    Float.max max_link
+      (float_of_int total_bytes /. config.Config.noc_src_bw_bytes_per_s)
+    +. (2.0 *. config.Config.noc_latency_s)
   in
   let compute_s = List.fold_left Float.max 0.0 per_cluster_s in
   let seconds = distribution_s +. compute_s in

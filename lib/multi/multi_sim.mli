@@ -4,7 +4,8 @@
     attached memory over the network-on-chip before the clusters run their
     independent GEMMs in parallel; results travel back. Distribution of
     different clusters proceeds in parallel, bounded by the per-cluster NoC
-    link and by the source memory's aggregate bandwidth.
+    link and by the source memory's aggregate bandwidth, as the [noc_*]
+    fields of the session's machine model describe them.
 
     Function: {!verify} runs every per-cluster job through the full
     generated-code interpreter at a reduced scale and reassembles the
@@ -18,12 +19,6 @@
     collected in job order, so stdout, stats and errors never depend on
     which domain finished first. *)
 
-type noc = {
-  link_bw_bytes_per_s : float;  (** per-cluster NoC link *)
-  src_bw_bytes_per_s : float;  (** aggregate bandwidth of the home memory *)
-  latency_s : float;  (** per-panel latency *)
-}
-
 type stats = {
   seconds : float;
   gflops : float;
@@ -35,7 +30,7 @@ type stats = {
       (** single-cluster time / (clusters * multi-cluster compute time) *)
 }
 
-val measure : ?noc:noc -> ?jobs:int -> Sw_core.Session.t -> Plan.t -> stats
+val measure : ?jobs:int -> Sw_core.Session.t -> Plan.t -> stats
 
 val verify :
   ?seed:int ->

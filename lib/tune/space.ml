@@ -150,7 +150,9 @@ let realize ~(config : Config.t) ~(spec : Spec.t) (c : candidate) =
           }
         in
         match Config.validate cfg with
-        | Error e -> Error ("machine model rejects tile: " ^ e)
+        | Error e ->
+            Error
+              ("machine model rejects tile: " ^ Config.error_to_string e)
         | Ok () ->
             let options =
               if c.buffers >= 2 then Options.all_on else Options.with_rma

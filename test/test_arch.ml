@@ -211,19 +211,28 @@ let test_spm_race_detection () =
 (* ------------------------------------------------------------------ *)
 
 let test_config_validation () =
-  (match Config.validate Config.sw26010pro with
+  let verdict c =
+    Result.map_error Config.error_to_string (Config.validate c)
+  in
+  (match verdict Config.sw26010pro with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* rectangular meshes are a valid machine model *)
-  (match Config.validate { Config.sw26010pro with Config.mesh_cols = 4 } with
+  (match verdict { Config.sw26010pro with Config.mesh_cols = 4 } with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rectangular mesh rejected: %s" e);
-  (match Config.validate { Config.sw26010pro with Config.mesh_rows = 0 } with
+  (match verdict { Config.sw26010pro with Config.mesh_rows = 0 } with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "zero-row mesh accepted");
-  match
-    Config.validate { Config.sw26010pro with Config.spm_bytes = 1024 }
-  with
+  (match
+     Config.validate { Config.sw26010pro with Config.mpe_freq_hz = 0. }
+   with
+  | Error (Config.Non_positive_rate ("mpe.freq_hz", 0.)) -> ()
+  | Error e ->
+      Alcotest.failf "MPE frequency 0: wrong error %s"
+        (Config.error_to_string e)
+  | Ok () -> Alcotest.fail "zero MPE frequency accepted");
+  match verdict { Config.sw26010pro with Config.spm_bytes = 1024 } with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "SPM overflow accepted"
 
@@ -753,83 +762,75 @@ let user_tests =
 let tests = tests @ user_tests
 
 (* ------------------------------------------------------------------ *)
-(* Arch_desc: presets, typed validation, strict JSON round-trip         *)
+(* Config presets, typed validation, strict JSON round-trip             *)
 (* ------------------------------------------------------------------ *)
 
-let test_arch_desc_presets () =
+let test_config_presets () =
   List.iter
-    (fun (d : Arch_desc.t) ->
-      (match Arch_desc.validate d with
+    (fun (c : Config.t) ->
+      (match Config.validate c with
       | Ok () -> ()
       | Error e ->
-          Alcotest.failf "preset %s invalid: %s" d.Arch_desc.name
-            (Arch_desc.error_to_string e));
-      (match Config.validate (Arch_desc.to_config d) with
-      | Ok () -> ()
-      | Error e ->
-          Alcotest.failf "preset %s flattens to an invalid config: %s"
-            d.Arch_desc.name e);
-      match Arch_desc.find d.Arch_desc.name with
-      | Some d' when d' = d -> ()
-      | _ ->
-          Alcotest.failf "find %s does not return the preset" d.Arch_desc.name)
-    Arch_desc.all;
+          Alcotest.failf "preset %s invalid: %s" c.Config.name
+            (Config.error_to_string e));
+      match Config.find c.Config.name with
+      | Some c' when c' = c -> ()
+      | _ -> Alcotest.failf "find %s does not return the preset" c.Config.name)
+    Config.all;
   (* legacy spellings resolve to the canonical presets *)
   List.iter
     (fun (alias, canonical) ->
-      match Arch_desc.find alias with
-      | Some d -> check Alcotest.string alias canonical d.Arch_desc.name
+      match Config.find alias with
+      | Some c -> check Alcotest.string alias canonical c.Config.name
       | None -> Alcotest.failf "alias %s unresolved" alias)
     [ ("tiny-2x2", "tiny2"); ("tiny-4x4", "tiny4") ];
-  (* the asymmetric preset really is rectangular after flattening *)
   let c =
-    match Arch_desc.config_of_name "sw26010pro-8x4" with
+    match Config.find "sw26010pro-8x4" with
     | Some c -> c
     | None -> Alcotest.fail "sw26010pro-8x4 missing"
   in
   check Alcotest.int "8 rows" 8 c.Config.mesh_rows;
   check Alcotest.int "4 cols" 4 c.Config.mesh_cols
 
-let test_arch_desc_of_config () =
-  (* of_config inverts to_config on every preset (the NoC block is not
-     part of the flat record, so it is pinned to the preset's own) *)
-  List.iter
-    (fun (d : Arch_desc.t) ->
-      let d' = Arch_desc.of_config ~noc:d.Arch_desc.noc (Arch_desc.to_config d) in
-      if d' <> d then
-        Alcotest.failf "of_config (to_config %s) differs" d.Arch_desc.name)
-    Arch_desc.all
-
-let arch_presets_array = Array.of_list Arch_desc.all
+let arch_presets_array = Array.of_list Config.all
 
 let pick_preset st =
   arch_presets_array.(Random.State.int st (Array.length arch_presets_array))
 
 let arch_json_roundtrip =
-  qtest ~count:30 "Arch_desc JSON round-trips through the strict parser"
+  qtest ~count:30 "Config JSON round-trips through the strict parser"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 0x41524348 |] in
-      let d = pick_preset st in
-      match
-        Sw_obs.Json.parse (Sw_obs.Json.to_string (Arch_desc.to_json d))
-      with
+      let p = pick_preset st in
+      (* a preset with a redrawn NoC and MPE, so every block is exercised
+         beyond the calibrated constants *)
+      let c =
+        {
+          p with
+          Config.noc_link_bw_bytes_per_s = Random.State.float st 1e11;
+          noc_src_bw_bytes_per_s = Random.State.float st 1e11;
+          noc_latency_s = Random.State.float st 1e-5;
+          mpe_freq_hz = Random.State.float st 4e9;
+        }
+      in
+      match Sw_obs.Json.parse (Sw_obs.Json.to_string (Config.to_json c)) with
       | Error e -> QCheck.Test.fail_reportf "reparse: %s" e
       | Ok j -> (
-          match Arch_desc.of_json j with
+          match Config.of_json j with
           | Error e -> QCheck.Test.fail_reportf "of_json: %s" e
-          | Ok d' ->
-              d' = d
+          | Ok c' ->
+              c' = c
               || QCheck.Test.fail_reportf "round-trip changed %s"
-                   d.Arch_desc.name))
+                   c.Config.name))
 
 let arch_json_strict =
-  qtest ~count:40 "Arch_desc parser rejects missing and unknown fields"
+  qtest ~count:40 "Config parser rejects missing and unknown fields"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 0x4152534A |] in
-      let d = pick_preset st in
-      match Arch_desc.to_json d with
+      let c = pick_preset st in
+      match Config.to_json c with
       | Sw_obs.Json.Obj fields -> (
           let mutated =
             if Random.State.bool st then
@@ -837,48 +838,68 @@ let arch_json_strict =
               Sw_obs.Json.Obj (List.filteri (fun j _ -> j <> i) fields)
             else Sw_obs.Json.Obj (("bogus_field", Sw_obs.Json.Int 1) :: fields)
           in
-          match Arch_desc.of_json mutated with
+          match Config.of_json mutated with
           | Error _ -> true
-          | Ok _ ->
-              QCheck.Test.fail_reportf "mutated %s accepted" d.Arch_desc.name)
+          | Ok _ -> QCheck.Test.fail_reportf "mutated %s accepted" c.Config.name)
       | _ -> QCheck.Test.fail_report "to_json is not an object")
+
+(* Every rate the validator checks, with its field path and a setter. *)
+let rate_fields =
+  [
+    ("cpe.freq_hz", fun c v -> { c with Config.cpe_freq_hz = v });
+    ( "cpe.simd_flops_per_cycle",
+      fun c v -> { c with Config.cpe_simd_flops_per_cycle = v } );
+    ( "cpe.naive_flops_per_cycle",
+      fun c v -> { c with Config.cpe_naive_flops_per_cycle = v } );
+    ( "cpe.ew_cycles_per_elem",
+      fun c v -> { c with Config.ew_cpe_cycles_per_elem = v } );
+    ("dma.bw_bytes_per_s", fun c v -> { c with Config.mem_bw_bytes_per_s = v });
+    ("rma.bw_bytes_per_s", fun c v -> { c with Config.rma_bw_bytes_per_s = v });
+    ("mpe.freq_hz", fun c v -> { c with Config.mpe_freq_hz = v });
+    ( "mpe.stream_bw_bytes_per_s",
+      fun c v -> { c with Config.mpe_stream_bw_bytes_per_s = v } );
+    ( "noc.link_bw_bytes_per_s",
+      fun c v -> { c with Config.noc_link_bw_bytes_per_s = v } );
+    ( "noc.src_bw_bytes_per_s",
+      fun c v -> { c with Config.noc_src_bw_bytes_per_s = v } );
+  ]
 
 let arch_typed_errors =
   qtest ~count:50 "malformed descriptions are rejected with typed errors"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 0x41524345 |] in
-      let d = pick_preset st in
+      let c = pick_preset st in
       let fail_with got =
         QCheck.Test.fail_reportf "wrong verdict for mutated %s: %s"
-          d.Arch_desc.name
+          c.Config.name
           (match got with
           | Ok () -> "accepted"
-          | Error e -> Arch_desc.error_to_string e)
+          | Error e -> Config.error_to_string e)
       in
       match Random.State.int st 5 with
       | 0 -> (
           (* zero or negative mesh dimension *)
           let rows = -Random.State.int st 3 in
-          let mesh = { d.Arch_desc.mesh with Arch_desc.rows } in
-          match Arch_desc.validate { d with Arch_desc.mesh } with
-          | Error (Arch_desc.Empty_mesh m) -> m.Arch_desc.rows = rows
+          match Config.validate { c with Config.mesh_rows = rows } with
+          | Error (Config.Empty_mesh m) -> m.rows = rows
           | r -> fail_with r)
       | 1 -> (
-          (* non-positive transfer rate *)
-          let bw = -.Random.State.float st 10.0 in
-          let dma = { d.Arch_desc.dma with Arch_desc.bw_bytes_per_s = bw } in
-          match Arch_desc.validate { d with Arch_desc.dma } with
-          | Error (Arch_desc.Non_positive_rate (field, v)) ->
-              v = bw && Helpers.contains field "dma"
+          (* any non-positive rate, named by its field path *)
+          let path, set =
+            List.nth rate_fields (Random.State.int st (List.length rate_fields))
+          in
+          let v = -.Random.State.float st 10.0 in
+          match Config.validate (set c v) with
+          | Error (Config.Non_positive_rate (field, v')) -> v' = v && field = path
           | r -> fail_with r)
       | 2 -> (
           (* SPM too small for the nine double-buffered working-set
              buffers of the micro kernel *)
-          let needed = Arch_desc.spm_needed_bytes d in
+          let needed = Config.spm_needed_bytes c in
           let spm_bytes = Random.State.int st needed in
-          match Arch_desc.validate { d with Arch_desc.spm_bytes } with
-          | Error (Arch_desc.Spm_overflow { needed_bytes; spm_bytes = sb }) ->
+          match Config.validate { c with Config.spm_bytes } with
+          | Error (Config.Spm_overflow { needed_bytes; spm_bytes = sb }) ->
               needed_bytes = needed && sb = spm_bytes
           | r -> fail_with r)
       | 3 -> (
@@ -886,23 +907,22 @@ let arch_typed_errors =
             if Random.State.bool st then 1.0 +. Random.State.float st 4.0
             else -.Random.State.float st 1.0
           in
-          let mk = { d.Arch_desc.mk with Arch_desc.efficiency } in
-          match Arch_desc.validate { d with Arch_desc.mk } with
-          | Error (Arch_desc.Efficiency_out_of_range v) -> v = efficiency
+          match
+            Config.validate { c with Config.micro_kernel_efficiency = efficiency }
+          with
+          | Error (Config.Efficiency_out_of_range v) -> v = efficiency
           | r -> fail_with r)
       | _ -> (
-          let mk = { d.Arch_desc.mk with Arch_desc.m = 0 } in
-          match Arch_desc.validate { d with Arch_desc.mk } with
-          | Error (Arch_desc.Empty_micro_kernel _) -> true
+          match Config.validate { c with Config.mk_m = 0 } with
+          | Error (Config.Empty_micro_kernel _) -> true
           | r -> fail_with r))
 
-let arch_desc_tests =
+let config_tests =
   [
-    ("Arch_desc presets validate and resolve", `Quick, test_arch_desc_presets);
-    ("Arch_desc of_config inverts to_config", `Quick, test_arch_desc_of_config);
+    ("Config presets validate and resolve", `Quick, test_config_presets);
     arch_json_roundtrip;
     arch_json_strict;
     arch_typed_errors;
   ]
 
-let tests = tests @ arch_desc_tests
+let tests = tests @ config_tests

@@ -143,6 +143,56 @@ let test_measure_reports_jobs () =
   check Alcotest.int "six per-cluster times" 6
     (List.length s.Multi_sim.per_cluster_s)
 
+(* The NoC the machine model names is the one the distribution time is
+   charged on. The calibrated preset reproduces, bit for bit, the stats
+   the multi-cluster model gave when its NoC was a built-in constant. *)
+let test_measure_noc_from_config () =
+  let preset =
+    match Config.find "sw26010pro" with
+    | Some c -> c
+    | None -> Alcotest.fail "sw26010pro preset missing"
+  in
+  let plan = plan_ok (Spec.make ~m:2048 ~n:1024 ~k:512 ()) ~clusters:6 in
+  let measure config =
+    Multi_sim.measure ~jobs:2 (Session.create ~no_cache:true ~arch:config ()) plan
+  in
+  let base = measure preset in
+  let hex = Printf.sprintf "%h" in
+  check Alcotest.(list string) "preset stats"
+    [
+      "0x1.92e9233c5a1fep-10"; "0x1.5d4d4c27e172ep+10";
+      "0x1.a082dbabd1995p-11"; "0x1.21565aeab2b81p-2";
+    ]
+    (List.map hex
+       [
+         base.Multi_sim.seconds; base.Multi_sim.gflops;
+         base.Multi_sim.distribution_s; base.Multi_sim.parallel_efficiency;
+       ]);
+  check Alcotest.(list string) "preset per-cluster times"
+    (List.init 6 (fun _ -> "0x1.854f6acce2a67p-11"))
+    (List.map hex base.Multi_sim.per_cluster_s);
+  List.iter
+    (fun (what, config) ->
+      let s = measure config in
+      if not (s.Multi_sim.distribution_s > base.Multi_sim.distribution_s) then
+        Alcotest.failf "%s: distribution %g s not above %g s" what
+          s.Multi_sim.distribution_s base.Multi_sim.distribution_s;
+      check Alcotest.(list (float 0.0)) (what ^ ": compute unchanged")
+        base.Multi_sim.per_cluster_s s.Multi_sim.per_cluster_s)
+    [
+      ( "halved NoC link",
+        {
+          preset with
+          Config.noc_link_bw_bytes_per_s =
+            preset.Config.noc_link_bw_bytes_per_s /. 2.0;
+        } );
+      ( "raised NoC latency",
+        {
+          preset with
+          Config.noc_latency_s = preset.Config.noc_latency_s *. 10.0;
+        } );
+    ]
+
 (* A tuned lookup may compile a job for another machine model than the
    session's; each job must then run on the model it was compiled for. *)
 let test_verify_tuned ~session_arch ~tuned_arch () =
@@ -178,4 +228,5 @@ let tests =
     );
     ("scaling over clusters", `Quick, test_measure_scaling);
     ("per-cluster reporting", `Quick, test_measure_reports_jobs);
+    ("NoC comes from the machine model", `Quick, test_measure_noc_from_config);
   ]
