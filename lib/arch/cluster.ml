@@ -14,7 +14,6 @@ type t = {
   row_links : Engine.channel array;
   col_links : Engine.channel array;
   barrier : Engine.barrier;
-  functional : bool;
   trace : Trace.t option;
   faults : Fault.t option;
   (* which primitive last armed each reply counter name: true = RMA
@@ -26,7 +25,7 @@ type t = {
   m_wait_rma : Sw_obs.Metrics.histogram option;
 }
 
-let create ?trace ?faults ~config ~functional ~mem () =
+let create ?trace ?faults ~config ~mem () =
   (match Config.validate config with
   | Ok () -> ()
   | Error e ->
@@ -39,7 +38,8 @@ let create ?trace ?faults ~config ~functional ~mem () =
       rid;
       cid;
       spm =
-        Spm.create ~capacity_bytes:config.Config.spm_bytes ~functional;
+        Spm.create ~capacity_bytes:config.Config.spm_bytes
+          ~functional:(Mem.functional mem);
       replies = Hashtbl.create 7;
     }
   in
@@ -66,7 +66,6 @@ let create ?trace ?faults ~config ~functional ~mem () =
     barrier =
       Engine.new_barrier engine
         ~parties:(config.Config.mesh_rows * config.Config.mesh_cols);
-    functional;
     trace;
     faults;
     reply_rma = Hashtbl.create 16;
@@ -134,22 +133,24 @@ let reply_counter c ~reply ~rcopy =
       raise
         (Error.Sim_error (Error.Invalid ("Cluster: unknown reply counter " ^ reply)))
 
-(* Copy a rectangle between main memory and an SPM tile. *)
+(* Bounds-check a rectangle of main memory in either mode, and copy it to
+   or from an SPM tile when the memory holds data. *)
 let copy_rect t ~to_spm ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~spm
     ~buf ~copy =
-  let data = Mem.data t.mem array_name in
-  let stride = Mem.row_len t.mem array_name in
   let base = Mem.offset t.mem array_name ?batch ~row:row_lo ~col:col_lo () in
-  (* also bounds-check the far corner *)
   ignore
     (Mem.offset t.mem array_name ?batch ~row:(row_lo + rows - 1)
        ~col:(col_lo + cols - 1) ());
-  let tile = Spm.tile spm buf ~copy in
-  for r = 0 to rows - 1 do
-    let src = base + (r * stride) and dst = r * cols in
-    if to_spm then Array.blit data src tile dst cols
-    else Array.blit tile dst data src cols
-  done
+  if Mem.functional t.mem then begin
+    let data = Mem.data t.mem array_name in
+    let stride = Mem.row_len t.mem array_name in
+    let tile = Spm.tile spm buf ~copy in
+    for r = 0 to rows - 1 do
+      let src = base + (r * stride) and dst = r * cols in
+      if to_spm then Array.blit data src tile dst cols
+      else Array.blit tile dst data src cols
+    done
+  end
 
 (* Reply increments pass through the fault plan: they can arrive late, be
    re-delivered after a bounded delay (a dropped-then-recovered interrupt),
@@ -172,7 +173,7 @@ let deliver_increment t counter =
    before any fiber can read it (functional mode only). *)
 let maybe_flip t spm ~buf ~copy ~elems =
   match t.faults with
-  | Some f when t.functional -> (
+  | Some f when Mem.functional t.mem -> (
       match Fault.flip f ~elems with
       | Some (index, delta) -> Spm.corrupt spm buf ~copy ~index ~delta
       | None -> ())
@@ -191,9 +192,8 @@ let dma_message t c ~put ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~buf
         let start, finish = !start_finish in
         if put then Spm.note_read spm buf ~copy ~start ~finish
         else Spm.note_write spm buf ~copy ~start ~finish;
-        if t.functional then
-          copy_rect t ~to_spm:(not put) ~array_name ~batch ~row_lo ~col_lo
-            ~rows ~cols ~spm ~buf ~copy;
+        copy_rect t ~to_spm:(not put) ~array_name ~batch ~row_lo ~col_lo
+          ~rows ~cols ~spm ~buf ~copy;
         if not put then maybe_flip t spm ~buf ~copy ~elems:(rows * cols);
         deliver_increment t counter)
   in
@@ -241,7 +241,7 @@ let rma_bcast t c ~dir ~src ~dst ~rows ~cols ~root ~reply_s ~reply_r ~rcopy =
           List.iter
             (fun (peer : cpe) ->
               Spm.note_write peer.spm dst_buf ~copy:dst_copy ~start ~finish;
-              if t.functional then begin
+              if Mem.functional t.mem then begin
                 let s = Spm.tile c.spm src_buf ~copy:src_copy in
                 let d = Spm.tile peer.spm dst_buf ~copy:dst_copy in
                 Array.blit s 0 d 0 (rows * cols)
@@ -312,7 +312,7 @@ let kernel t c ~c:(cb, cc) ~a:(ab, ac) ~b:(bb, bc) ~m ~n ~k ~alpha ~accumulate
      with any overlapping DMA or RMA window (note_write checks both the last
      read and the last write) *)
   Spm.note_write c.spm cb ~copy:cc ~start ~finish;
-  if t.functional then
+  if Mem.functional t.mem then
     Sw_kernels.Micro.dgemm_tile_t ~ta ~tb ~m ~n ~k ~alpha ~accumulate
       ~a:(Spm.tile c.spm ab ~copy:ac)
       ~ao:0
@@ -333,7 +333,7 @@ let spm_map t c ~buf:(buf, copy) ~rows ~cols ~fn =
   let finish = start +. dur in
   (* in-place read-modify-write: a single write note, as in [kernel] *)
   Spm.note_write c.spm buf ~copy ~start ~finish;
-  if t.functional then
+  if Mem.functional t.mem then
     Sw_kernels.Elementwise.apply fn (Spm.tile c.spm buf ~copy) ~off:0 ~len:elems;
   trace_event t c Trace.Spm_op ~start ~finish;
   Engine.delay dur

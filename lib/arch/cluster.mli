@@ -28,7 +28,6 @@ type t = {
   row_links : Engine.channel array;
   col_links : Engine.channel array;
   barrier : Engine.barrier;
-  functional : bool;
   trace : Trace.t option;
   faults : Fault.t option;
   reply_rma : (string, bool) Hashtbl.t;
@@ -43,12 +42,12 @@ type t = {
 }
 
 val create :
-  ?trace:Trace.t -> ?faults:Fault.t -> config:Config.t -> functional:bool ->
-  mem:Mem.t -> unit -> t
-(** With [?faults], every transfer, reply delivery and kernel launch is
-    perturbed by the plan (see {!Fault}); without it the fault hooks are
-    compiled-away [None] branches and timings are bit-identical to a
-    fault-free build. *)
+  ?trace:Trace.t -> ?faults:Fault.t -> config:Config.t -> mem:Mem.t -> unit -> t
+(** The run moves data iff [mem] is functional ({!Mem.create}); every SPM
+    takes the same mode. With [?faults], every transfer, reply delivery
+    and kernel launch is perturbed by the plan (see {!Fault}); without it
+    the fault hooks are compiled-away [None] branches and timings are
+    bit-identical to a fault-free build. *)
 
 val cpe : t -> rid:int -> cid:int -> cpe
 val iter_cpes : t -> (cpe -> unit) -> unit

@@ -160,12 +160,12 @@ let run_cpe cluster cpe ~params ~user ~retry ~retries
   in
   block body
 
-let run ?trace ?faults ?watchdog ?retry ~config ~functional ~mem ?user
+let run ?trace ?faults ?watchdog ?retry ~config ~mem ?user
     (program : Sw_ast.Ast.program) =
   (* The simulator's single failure boundary: every typed error raised
      anywhere below, and a non-empty race list, come back as [Error]. *)
   match
-    let cluster = Cluster.create ?trace ?faults ~config ~functional ~mem () in
+    let cluster = Cluster.create ?trace ?faults ~config ~mem () in
     (* Retry deadlines only matter when replies can be lost; without a fault
        plan every wait is satisfied normally, so disarm the deadline path and
        keep the fault-free simulation bit-identical to the plain model (no

@@ -4,8 +4,8 @@
     One fiber per CPE executes the program body with its own [Rid]/[Cid];
     communication ops use the {!Cluster} primitives, so the simulation is
     timing-accurate (shared memory-controller bandwidth, RMA links, barrier
-    costs, micro-kernel cycles) and — in functional mode — moves real data,
-    which is how the generated code's correctness is established
+    costs, micro-kernel cycles) and — when [mem] is functional — moves real
+    data, which is how the generated code's correctness is established
     end-to-end.
 
     Fibers are labelled ["CPE(r,c)"], so a deadlock diagnosis names the
@@ -35,7 +35,6 @@ val run :
   ?watchdog:Engine.watchdog ->
   ?retry:retry_policy ->
   config:Config.t ->
-  functional:bool ->
   mem:Mem.t ->
   ?user:(rid:int -> cid:int -> string -> (string * int) list -> unit) ->
   Sw_ast.Ast.program ->

@@ -1,42 +1,38 @@
-type array_info = { dims : int array; data : float array }
+(* name -> (dims, data); data is [[||]] in a timing memory *)
+type t = { functional : bool; arrays : (string, int array * float array) Hashtbl.t }
 
-type t = (string, array_info) Hashtbl.t
+let create ~functional = { functional; arrays = Hashtbl.create 7 }
+let functional t = t.functional
 
-let create () = Hashtbl.create 7
-
-let alloc_init t name ~dims ~f =
-  if Hashtbl.mem t name then
+let alloc t name ~dims =
+  if Hashtbl.mem t.arrays name then
     invalid_arg ("Mem.alloc: duplicate array " ^ name);
   let dims = Array.of_list dims in
   (match Array.length dims with
   | 2 | 3 -> ()
   | _ -> invalid_arg "Mem.alloc: only 2-D and 3-D arrays are supported");
   Array.iter (fun d -> if d <= 0 then invalid_arg "Mem.alloc: empty extent") dims;
-  let total = Array.fold_left ( * ) 1 dims in
-  let data = Array.init total (fun flat ->
-      (* decompose the flat index back into coordinates, row-major *)
-      let idx = Array.make (Array.length dims) 0 in
-      let rem = ref flat in
-      for d = Array.length dims - 1 downto 0 do
-        idx.(d) <- !rem mod dims.(d);
-        rem := !rem / dims.(d)
-      done;
-      f idx)
+  let data =
+    if t.functional then Array.make (Array.fold_left ( * ) 1 dims) 0.0
+    else [||]
   in
-  Hashtbl.add t name { dims; data }
-
-let alloc t name ~dims = alloc_init t name ~dims ~f:(fun _ -> 0.0)
+  Hashtbl.add t.arrays name (dims, data)
 
 let find t name =
-  match Hashtbl.find_opt t name with
+  match Hashtbl.find_opt t.arrays name with
   | Some a -> a
   | None -> invalid_arg ("Mem: unknown array " ^ name)
 
-let data t name = (find t name).data
-let dims t name = (find t name).dims
+let data t name =
+  let _, data = find t name in
+  if not t.functional then
+    invalid_arg ("Mem.data: timing memory holds no data for " ^ name);
+  data
+
+let dims t name = fst (find t name)
 
 let row_len t name =
-  let d = (find t name).dims in
+  let d = dims t name in
   d.(Array.length d - 1)
 
 let bounds name fmt =
@@ -46,8 +42,7 @@ let bounds name fmt =
     fmt
 
 let offset t name ?batch ~row ~col () =
-  let a = find t name in
-  match (a.dims, batch) with
+  match (dims t name, batch) with
   | [| r; c |], None ->
       if row < 0 || row >= r || col < 0 || col >= c then
         bounds name "(%d, %d) outside %s[%d][%d]" row col name r c;

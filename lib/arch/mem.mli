@@ -2,22 +2,24 @@
 
     Arrays are two-dimensional matrices or three-dimensional batched
     matrices; the last dimension is contiguous, matching the [len]/[strip]
-    addressing of the DMA interfaces (§4). *)
+    addressing of the DMA interfaces (§4). Whether a run moves data is
+    decided here alone: a timing memory records only extents (what
+    {!offset} checks against), and {!Cluster} and {!Spm} follow its mode. *)
 
 type t
 
-type array_info = { dims : int array; data : float array }
+val create : functional:bool -> t
 
-val create : unit -> t
+val functional : t -> bool
 
 val alloc : t -> string -> dims:int list -> unit
-(** Allocate a zero-initialized array. Raises [Invalid_argument] on
-    duplicate names or dimensionality outside {2, 3}. *)
-
-val alloc_init : t -> string -> dims:int list -> f:(int array -> float) -> unit
-(** Allocate and initialize element-wise from the index vector. *)
+(** Allocate an array: zero-initialized in a functional memory, extents
+    only in a timing one. Raises [Invalid_argument] on duplicate names or
+    dimensionality outside {2, 3}. *)
 
 val data : t -> string -> float array
+(** Raises [Invalid_argument] on a timing memory, which holds no data. *)
+
 val dims : t -> string -> int array
 
 val row_len : t -> string -> int

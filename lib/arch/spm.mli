@@ -12,7 +12,8 @@ type t
 
 val create : capacity_bytes:int -> functional:bool -> t
 (** With [functional = false] no data is stored, only capacity and race
-    bookkeeping (used for timing-only simulations of huge problems). *)
+    bookkeeping (used for timing-only simulations of huge problems).
+    {!Cluster.create} passes the mode of its {!Mem.t}. *)
 
 val alloc : t -> string -> rows:int -> cols:int -> copies:int -> unit
 (** Raises {!Error.Sim_error} ([Overflow]) when the allocation exceeds

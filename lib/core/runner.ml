@@ -87,30 +87,31 @@ let extent (dims : int array) =
   let n = Array.length dims in
   ((if n = 3 then dims.(0) else 1), dims.(n - 2), dims.(n - 1))
 
-let install mem (d : Sw_ast.Ast.array_decl) (mats : Matrix.t array) =
-  let get (m : Matrix.t) r c =
-    if r < m.Matrix.rows && c < m.Matrix.cols then Matrix.get m r c else 0.0
-  in
-  Mem.alloc_init mem d.array_name ~dims:d.dims ~f:(function
-    | [| r; c |] -> get mats.(0) r c
-    | [| b; r; c |] -> get mats.(b) r c
-    | _ -> assert false)
+(* batch [b] of [mats] row by row into the top-left corner of batch [b] *)
+let install mem name (mats : Matrix.t array) =
+  let nb, r_ext, c_ext = extent (Mem.dims mem name) in
+  let data = Mem.data mem name in
+  for b = 0 to nb - 1 do
+    let m = mats.(b) in
+    for r = 0 to m.Matrix.rows - 1 do
+      Array.blit m.Matrix.data (r * m.Matrix.cols) data
+        (((b * r_ext) + r) * c_ext) m.Matrix.cols
+    done
+  done
 
 let simulate ?trace ?faults ?retry ?watchdog ~config
     (program : Sw_ast.Ast.program) ~operands =
-  (* arrays without operands stay zero; a timing-only run never touches
-     data, but its arrays must exist for bounds checking of DMA offsets *)
-  let mem = Mem.create () in
+  (* the one decision whether this run moves data (see Mem) *)
+  let mem = Mem.create ~functional:(operands <> []) in
   List.iter
     (fun (d : Sw_ast.Ast.array_decl) ->
-      match List.assoc_opt d.array_name operands with
-      | Some mats -> install mem d mats
-      | None -> Mem.alloc mem d.array_name ~dims:d.dims)
+      Mem.alloc mem d.array_name ~dims:d.dims;
+      Option.iter (install mem d.array_name)
+        (List.assoc_opt d.array_name operands))
     program.Sw_ast.Ast.arrays;
   Result.map
     (fun r -> (r, mem))
-    (Interp.run ?trace ?faults ?watchdog ?retry ~config
-       ~functional:(operands <> []) ~mem program)
+    (Interp.run ?trace ?faults ?watchdog ?retry ~config ~mem program)
 
 let read mem name ~rows ~cols =
   let nb, r_ext, c_ext = extent (Mem.dims mem name) in

@@ -30,8 +30,8 @@
     generated code is a product of identical mesh-block executions whose
     duration is affine in the number of k-panels once the software pipeline
     reaches steady state, so two exact block simulations at different
-    panel counts determine the whole series. [test/test_core.ml] checks the
-    extrapolation against exact simulation. *)
+    panel counts determine the whole series. [test/test_calibration.ml]
+    checks the extrapolation against exact simulation on the real config. *)
 
 type perf = {
   seconds : float;  (** simulated wall time of the full problem *)
@@ -65,15 +65,17 @@ val simulate :
     [program.arrays] is allocated; an operand [(name, batches)] fills
     batch [i] of [name] from the top-left corner of [batches.(i)], with
     zeros elsewhere (a 2-D array takes exactly one batch). Arrays without
-    an operand are zero. With [operands = []] the run is timing-only: no
-    data is installed or moved, only DMA offsets are bounds-checked. The
+    an operand are zero. With [operands = []] the run is timing-only: its
+    memory holds only extents ({!Sw_arch.Mem.create}), so no data is
+    installed or moved and only DMA offsets are bounds-checked. The
     optional arguments pass through to {!Sw_arch.Interp.run}. Operands
     must fit their arrays' extents. *)
 
 val read :
   Sw_arch.Mem.t -> string -> rows:int -> cols:int -> Sw_blas.Matrix.t array
 (** [read mem name ~rows ~cols] copies out the top-left [rows x cols]
-    corner of every batch of [name] (one matrix for a 2-D array). *)
+    corner of every batch of [name] (one matrix for a 2-D array). Raises
+    [Invalid_argument] on a timing run's memory, which holds no data. *)
 
 (** {2 Verification} *)
 

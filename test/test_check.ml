@@ -96,6 +96,31 @@ let random_cases_agree =
             (Check.Case.to_string case)
             f.Oracle.stage f.Oracle.detail)
 
+(* Whether a run moves data must not change its simulated seconds: a
+   fault-free functional run and the timing run agree bit for bit. QCheck
+   shrinks a counterexample with the fuzzer's own shrinker and prints it as
+   the case JSON a test/corpus file holds. *)
+let functional_seconds_equal_timing =
+  let arb =
+    QCheck.make
+      ~print:(fun c -> Sw_obs.Json.to_string (Check.Case.to_json c))
+      ~shrink:(fun c -> QCheck.Iter.of_list (Check.Gen.shrink_candidates c))
+      (fun st -> Check.Gen.generate st ~id:0 ~corpus:[] ~fault:None)
+  in
+  qtest ~count:20 "functional seconds = timing seconds, bit for bit" arb
+    (fun (case : Check.Case.t) ->
+      let compiled =
+        Helpers.compile_exn ~options:case.Check.Case.options
+          ~config:(Check.Case.config_of case.Check.Case.config)
+          case.Check.Case.spec
+      in
+      match Runner.verify_resilient ~seed:case.Check.Case.data_seed compiled with
+      | Error e -> QCheck.Test.fail_report (Runner.error_to_string e)
+      | Ok r ->
+          Int64.equal
+            (Int64.bits_of_float r.Runner.seconds)
+            (Int64.bits_of_float (Runner.measure_exact compiled).Runner.seconds))
+
 (* Under injection (flips excluded) the oracle must conclude match or
    typed error — watchdog expiry and silent corruption are failures. *)
 let fault_contract_holds =
@@ -279,6 +304,7 @@ let tests =
       `Quick test_arch_matrix_oracle;
     gemv_agrees;
     random_cases_agree;
+    functional_seconds_equal_timing;
     fault_contract_holds;
     case_json_roundtrip;
     Alcotest.test_case "repro file round-trip" `Quick test_repro_roundtrip;

@@ -74,9 +74,9 @@ let test_fault_determinism () =
 let test_deadlock_forensics () =
   (* deliberately broken protocol: the wait's matching dma_get was dropped,
      so the reply counter can never reach its target *)
-  let mem = Mem.create () in
+  let mem = Mem.create ~functional:false in
   Mem.alloc mem "A" ~dims:[ 8; 8 ];
-  let cluster = Cluster.create ~config:tiny ~functional:false ~mem () in
+  let cluster = Cluster.create ~config:tiny ~mem () in
   Cluster.alloc_replies cluster [ "rA" ];
   let c00 = Cluster.cpe cluster ~rid:0 ~cid:0 in
   Engine.spawn ~label:"CPE(0,0)" cluster.Cluster.engine (fun () ->

@@ -360,23 +360,14 @@ let test_direct_matches_pipeline () =
   let spec = ok (Extract.spec_of_source src) in
   let config = Config.tiny () in
   let compiled = compile_exn ~config spec in
-  let mem = Sw_arch.Mem.create () in
-  let install name (m : Matrix.t) =
-    Sw_arch.Mem.alloc_init mem name
-      ~dims:[ m.Matrix.rows; m.Matrix.cols ]
-      ~f:(fun idx -> Matrix.get m idx.(0) idx.(1))
+  let c_pipeline =
+    match
+      Sw_core.Runner.simulate ~config compiled.Sw_core.Compile.program
+        ~operands:[ ("A", [| a |]); ("B", [| b |]); ("C", [| c |]) ]
+    with
+    | Ok (_, mem) -> (Sw_core.Runner.read mem "C" ~rows:16 ~cols:16).(0)
+    | Error e -> Alcotest.failf "no races: %s" (Sw_arch.Error.to_string e)
   in
-  install "A" a;
-  install "B" b;
-  install "C" c;
-  (match
-     Sw_arch.Interp.run ~config ~functional:true ~mem
-       compiled.Sw_core.Compile.program
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "no races: %s" (Sw_arch.Error.to_string e));
-  let data = Sw_arch.Mem.data mem "C" in
-  let c_pipeline = Matrix.init ~rows:16 ~cols:16 ~f:(fun i j -> data.((i * 16) + j)) in
   Helpers.check_close "direct = pipeline" 0.0
     (Matrix.max_abs_diff c_direct c_pipeline)
 

@@ -79,10 +79,10 @@ let test_zero_duration_events_recorded () =
   (* a wait on an already-satisfied reply consumes no simulated time; the
      instant must still appear on the forensic timeline *)
   let tiny = Config.tiny () in
-  let mem = Mem.create () in
+  let mem = Mem.create ~functional:false in
   Mem.alloc mem "A" ~dims:[ 8; 8 ];
   let trace = Trace.create () in
-  let cluster = Cluster.create ~trace ~config:tiny ~functional:false ~mem () in
+  let cluster = Cluster.create ~trace ~config:tiny ~mem () in
   Cluster.alloc_buffers cluster
     [ { Sw_ast.Ast.buf_name = "bufA"; rows = 4; cols = 4; copies = 1 } ];
   Cluster.alloc_replies cluster [ "rA" ];
