@@ -1,8 +1,11 @@
+type reply = { name : string; slot : int; parity : Engine.counter array }
+
 type cpe = {
   rid : int;
   cid : int;
   spm : Spm.t;
-  replies : (string, Engine.counter array) Hashtbl.t;
+  mutable buffers : Spm.buffer array;
+  mutable replies : reply array;
 }
 
 type t = {
@@ -10,16 +13,17 @@ type t = {
   engine : Engine.t;
   mem : Mem.t;
   cpes : cpe array array;
+  columns : cpe array array;
   dma : Engine.channel;
   row_links : Engine.channel array;
   col_links : Engine.channel array;
   barrier : Engine.barrier;
   trace : Trace.t option;
   faults : Fault.t option;
-  (* which primitive last armed each reply counter name: true = RMA
+  (* which primitive last armed each reply counter, by slot: true = RMA
      broadcast, false = DMA. Lets wait events attribute their exposed
      latency to a pipeline level without hard-coding reply names. *)
-  reply_rma : (string, bool) Hashtbl.t;
+  mutable reply_rma : bool array;
   (* wait-latency histograms, resolved once from the ambient registry *)
   m_wait_dma : Sw_obs.Metrics.histogram option;
   m_wait_rma : Sw_obs.Metrics.histogram option;
@@ -40,16 +44,22 @@ let create ?trace ?faults ~config ~mem () =
       spm =
         Spm.create ~capacity_bytes:config.Config.spm_bytes
           ~functional:(Mem.functional mem);
-      replies = Hashtbl.create 7;
+      buffers = [||];
+      replies = [||];
     }
+  in
+  let cpes =
+    Array.init config.Config.mesh_rows (fun r ->
+        Array.init config.Config.mesh_cols (fun c -> mk_cpe r c))
   in
   {
     config;
     engine;
     mem;
-    cpes =
-      Array.init config.Config.mesh_rows (fun r ->
-          Array.init config.Config.mesh_cols (fun c -> mk_cpe r c));
+    cpes;
+    columns =
+      Array.init config.Config.mesh_cols (fun c ->
+          Array.map (fun row -> row.(c)) cpes);
     dma =
       Engine.new_channel engine ~bw_bytes_per_s:config.Config.mem_bw_bytes_per_s
         ~latency_s:config.Config.dma_latency_s;
@@ -68,7 +78,7 @@ let create ?trace ?faults ~config ~mem () =
         ~parties:(config.Config.mesh_rows * config.Config.mesh_cols);
     trace;
     faults;
-    reply_rma = Hashtbl.create 16;
+    reply_rma = [||];
     m_wait_dma =
       Option.map
         (fun r ->
@@ -99,23 +109,41 @@ let iter_cpes t f = Array.iter (fun row -> Array.iter f row) t.cpes
 
 let alloc_buffers t decls =
   iter_cpes t (fun c ->
-      List.iter
-        (fun (d : Sw_ast.Ast.spm_decl) ->
-          Spm.alloc c.spm d.Sw_ast.Ast.buf_name ~rows:d.Sw_ast.Ast.rows ~cols:d.Sw_ast.Ast.cols
-            ~copies:d.Sw_ast.Ast.copies)
-        decls)
+      c.buffers <-
+        Array.of_list
+          (List.map
+             (fun (d : Sw_ast.Ast.spm_decl) ->
+               Spm.alloc c.spm d.Sw_ast.Ast.buf_name ~rows:d.Sw_ast.Ast.rows
+                 ~cols:d.Sw_ast.Ast.cols ~copies:d.Sw_ast.Ast.copies)
+             decls))
 
+(* A name listed twice shares the counters (and the slot) of its first
+   occurrence. *)
 let alloc_replies t names =
+  t.reply_rma <- Array.make (List.length names) false;
   iter_cpes t (fun c ->
-      List.iter
-        (fun name ->
-          if not (Hashtbl.mem c.replies name) then
-            Hashtbl.add c.replies name
-              [|
-                Engine.new_counter ~name:(name ^ "[0]") t.engine;
-                Engine.new_counter ~name:(name ^ "[1]") t.engine;
-              |])
-        names)
+      let made = ref [] in
+      c.replies <-
+        Array.of_list
+          (List.mapi
+             (fun slot name ->
+               match List.assoc_opt name !made with
+               | Some r -> r
+               | None ->
+                   let r =
+                     {
+                       name;
+                       slot;
+                       parity =
+                         [|
+                           Engine.new_counter ~name:(name ^ "[0]") t.engine;
+                           Engine.new_counter ~name:(name ^ "[1]") t.engine;
+                         |];
+                     }
+                   in
+                   made := (name, r) :: !made;
+                   r)
+             names))
 
 let races t =
   let acc = ref [] in
@@ -126,17 +154,12 @@ let races t =
         (Spm.races c.spm));
   List.sort Error.compare_race !acc
 
-let reply_counter c ~reply ~rcopy =
-  match Hashtbl.find_opt c.replies reply with
-  | Some arr -> arr.(rcopy land 1)
-  | None ->
-      raise
-        (Error.Sim_error (Error.Invalid ("Cluster: unknown reply counter " ^ reply)))
+let counter reply ~rcopy = reply.parity.(rcopy land 1)
 
 (* Bounds-check a rectangle of main memory in either mode, and copy it to
    or from an SPM tile when the memory holds data. *)
-let copy_rect t ~to_spm ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~spm
-    ~buf ~copy =
+let copy_rect t ~to_spm ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~buf
+    ~copy =
   let base = Mem.offset t.mem array_name ?batch ~row:row_lo ~col:col_lo () in
   ignore
     (Mem.offset t.mem array_name ?batch ~row:(row_lo + rows - 1)
@@ -144,7 +167,7 @@ let copy_rect t ~to_spm ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~spm
   if Mem.functional t.mem then begin
     let data = Mem.data t.mem array_name in
     let stride = Mem.row_len t.mem array_name in
-    let tile = Spm.tile spm buf ~copy in
+    let tile = Spm.tile buf ~copy in
     for r = 0 to rows - 1 do
       let src = base + (r * stride) and dst = r * cols in
       if to_spm then Array.blit data src tile dst cols
@@ -171,30 +194,29 @@ let deliver_increment t counter =
 
 (* SPM soft error: corrupt one element of a tile that was just written,
    before any fiber can read it (functional mode only). *)
-let maybe_flip t spm ~buf ~copy ~elems =
+let maybe_flip t ~buf ~copy ~elems =
   match t.faults with
   | Some f when Mem.functional t.mem -> (
       match Fault.flip f ~elems with
-      | Some (index, delta) -> Spm.corrupt spm buf ~copy ~index ~delta
+      | Some (index, delta) -> Spm.corrupt buf ~copy ~index ~delta
       | None -> ())
   | Some _ | None -> ()
 
 let dma_message t c ~put ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~buf
     ~copy ~reply ~rcopy =
-  let counter = reply_counter c ~reply ~rcopy in
+  let counter = counter reply ~rcopy in
   Engine.counter_reset counter;
-  Hashtbl.replace t.reply_rma reply false;
+  t.reply_rma.(reply.slot) <- false;
   let bytes = 8 * rows * cols in
-  let spm = c.spm in
   let start_finish = ref (0.0, 0.0) in
   let interval =
     Engine.transfer ?faults:t.faults t.dma ~bytes ~on_complete:(fun () ->
         let start, finish = !start_finish in
-        if put then Spm.note_read spm buf ~copy ~start ~finish
-        else Spm.note_write spm buf ~copy ~start ~finish;
+        if put then Spm.note_read buf ~copy ~start ~finish
+        else Spm.note_write buf ~copy ~start ~finish;
         copy_rect t ~to_spm:(not put) ~array_name ~batch ~row_lo ~col_lo
-          ~rows ~cols ~spm ~buf ~copy;
-        if not put then maybe_flip t spm ~buf ~copy ~elems:(rows * cols);
+          ~rows ~cols ~buf ~copy;
+        if not put then maybe_flip t ~buf ~copy ~elems:(rows * cols);
         deliver_increment t counter)
   in
   start_finish := interval;
@@ -212,23 +234,22 @@ let dma_put t c ~array_name ~batch ~row_lo ~col_lo ~rows ~cols ~buf ~copy
     ~buf ~copy ~reply ~rcopy
 
 let rma_bcast t c ~dir ~src ~dst ~rows ~cols ~root ~reply_s ~reply_r ~rcopy =
-  let src_buf, src_copy = src and dst_buf, dst_copy = dst in
+  let src, src_copy = src and dst, dst_copy = dst in
   let my_coord = match dir with `Row -> c.cid | `Col -> c.rid in
-  let send_counter = reply_counter c ~reply:reply_s ~rcopy in
-  let recv_counter = reply_counter c ~reply:reply_r ~rcopy in
+  let send_counter = counter reply_s ~rcopy in
+  let recv_counter = counter reply_r ~rcopy in
   Engine.counter_reset send_counter;
   Engine.counter_reset recv_counter;
-  Hashtbl.replace t.reply_rma reply_s true;
-  Hashtbl.replace t.reply_rma reply_r true;
+  t.reply_rma.(reply_s.slot) <- true;
+  t.reply_rma.(reply_r.slot) <- true;
   if my_coord <> root then
     (* this CPE sends nothing; its send counter is trivially satisfied *)
     Engine.counter_incr send_counter
   else begin
     let peers =
-      match dir with
-      | `Row -> Array.to_list (Array.map (fun col -> col) t.cpes.(c.rid))
-      | `Col -> Array.to_list (Array.map (fun row -> row.(c.cid)) t.cpes)
+      match dir with `Row -> t.cpes.(c.rid) | `Col -> t.columns.(c.cid)
     in
+    let dst_index = Spm.index dst in
     let link =
       match dir with `Row -> t.row_links.(c.rid) | `Col -> t.col_links.(c.cid)
     in
@@ -237,18 +258,19 @@ let rma_bcast t c ~dir ~src ~dst ~rows ~cols ~root ~reply_s ~reply_r ~rcopy =
     let interval =
       Engine.transfer ?faults:t.faults link ~bytes ~on_complete:(fun () ->
           let start, finish = !start_finish in
-          Spm.note_read c.spm src_buf ~copy:src_copy ~start ~finish;
-          List.iter
+          Spm.note_read src ~copy:src_copy ~start ~finish;
+          Array.iter
             (fun (peer : cpe) ->
-              Spm.note_write peer.spm dst_buf ~copy:dst_copy ~start ~finish;
+              let dst = peer.buffers.(dst_index) in
+              Spm.note_write dst ~copy:dst_copy ~start ~finish;
               if Mem.functional t.mem then begin
-                let s = Spm.tile c.spm src_buf ~copy:src_copy in
-                let d = Spm.tile peer.spm dst_buf ~copy:dst_copy in
+                let s = Spm.tile src ~copy:src_copy in
+                let d = Spm.tile dst ~copy:dst_copy in
                 Array.blit s 0 d 0 (rows * cols)
               end;
-              maybe_flip t peer.spm ~buf:dst_buf ~copy:dst_copy
-                ~elems:(rows * cols);
-              deliver_increment t (reply_counter peer ~reply:reply_r ~rcopy))
+              maybe_flip t ~buf:dst ~copy:dst_copy ~elems:(rows * cols);
+              deliver_increment t
+                (counter peer.replies.(reply_r.slot) ~rcopy))
             peers;
           deliver_increment t send_counter)
     in
@@ -257,9 +279,6 @@ let rma_bcast t c ~dir ~src ~dst ~rows ~cols ~root ~reply_s ~reply_r ~rcopy =
     trace_event t c (Trace.Rma { bytes; sender = true }) ~start ~finish
   end
 
-let reply_is_rma t reply =
-  match Hashtbl.find_opt t.reply_rma reply with Some b -> b | None -> false
-
 let note_wait t ~rma ~start ~finish =
   match (if rma then t.m_wait_rma else t.m_wait_dma) with
   | None -> ()
@@ -267,11 +286,11 @@ let note_wait t ~rma ~start ~finish =
 
 let wait_reply t c ~reply ~rcopy =
   let start = Engine.now t.engine in
-  Engine.await (reply_counter c ~reply ~rcopy) 1;
+  Engine.await (counter reply ~rcopy) 1;
   let finish = Engine.now t.engine in
-  let rma = reply_is_rma t reply in
+  let rma = t.reply_rma.(reply.slot) in
   note_wait t ~rma ~start ~finish;
-  trace_event t c (Trace.Wait_reply { reply; rma }) ~start ~finish
+  trace_event t c (Trace.Wait_reply { reply = reply.name; rma }) ~start ~finish
 
 (* Like [wait_reply] but gives up after [timeout] simulated seconds; the
    interpreter's retry policy builds on this. Returns [true] when the reply
@@ -279,11 +298,11 @@ let wait_reply t c ~reply ~rcopy =
    forensic timeline shows the stalled wait). *)
 let wait_reply_deadline t c ~reply ~rcopy ~timeout =
   let start = Engine.now t.engine in
-  let ok = Engine.await_deadline (reply_counter c ~reply ~rcopy) 1 ~timeout in
+  let ok = Engine.await_deadline (counter reply ~rcopy) 1 ~timeout in
   let finish = Engine.now t.engine in
-  let rma = reply_is_rma t reply in
+  let rma = t.reply_rma.(reply.slot) in
   note_wait t ~rma ~start ~finish;
-  trace_event t c (Trace.Wait_reply { reply; rma }) ~start ~finish;
+  trace_event t c (Trace.Wait_reply { reply = reply.name; rma }) ~start ~finish;
   ok
 
 let sync t (c : cpe) =
@@ -305,20 +324,20 @@ let kernel t c ~c:(cb, cc) ~a:(ab, ac) ~b:(bb, bc) ~m ~n ~k ~alpha ~accumulate
   in
   let start = Engine.now t.engine in
   let finish = start +. dur in
-  Spm.note_read c.spm ab ~copy:ac ~start ~finish;
-  Spm.note_read c.spm bb ~copy:bc ~start ~finish;
+  Spm.note_read ab ~copy:ac ~start ~finish;
+  Spm.note_read bb ~copy:bc ~start ~finish;
   (* the kernel both reads and writes its C tile; a single write note keeps
      the read-modify-write from racing against itself while still clashing
      with any overlapping DMA or RMA window (note_write checks both the last
      read and the last write) *)
-  Spm.note_write c.spm cb ~copy:cc ~start ~finish;
+  Spm.note_write cb ~copy:cc ~start ~finish;
   if Mem.functional t.mem then
     Sw_kernels.Micro.dgemm_tile_t ~ta ~tb ~m ~n ~k ~alpha ~accumulate
-      ~a:(Spm.tile c.spm ab ~copy:ac)
+      ~a:(Spm.tile ab ~copy:ac)
       ~ao:0
-      ~b:(Spm.tile c.spm bb ~copy:bc)
+      ~b:(Spm.tile bb ~copy:bc)
       ~bo:0
-      ~c:(Spm.tile c.spm cb ~copy:cc)
+      ~c:(Spm.tile cb ~copy:cc)
       ~co:0;
   trace_event t c Trace.Kernel ~start ~finish;
   Engine.delay dur
@@ -332,8 +351,8 @@ let spm_map t c ~buf:(buf, copy) ~rows ~cols ~fn =
   let start = Engine.now t.engine in
   let finish = start +. dur in
   (* in-place read-modify-write: a single write note, as in [kernel] *)
-  Spm.note_write c.spm buf ~copy ~start ~finish;
+  Spm.note_write buf ~copy ~start ~finish;
   if Mem.functional t.mem then
-    Sw_kernels.Elementwise.apply fn (Spm.tile c.spm buf ~copy) ~off:0 ~len:elems;
+    Sw_kernels.Elementwise.apply fn (Spm.tile buf ~copy) ~off:0 ~len:elems;
   trace_event t c Trace.Spm_op ~start ~finish;
   Engine.delay dur

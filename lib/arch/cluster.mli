@@ -10,28 +10,52 @@
     Every data movement and every tile read is stamped with its simulated
     time interval; overlapping write/read windows on the same SPM buffer
     copy are recorded as races (see {!Spm}) — this is what double buffering
-    (§6.3) exists to prevent, and breaking it is observable in tests. *)
+    (§6.3) exists to prevent, and breaking it is observable in tests.
+
+    The primitives take handles, not names: {!alloc_buffers} and
+    {!alloc_replies} fill each CPE's [buffers] and [replies] arrays, indexed
+    by each name's position in the declaration list, and a caller (the
+    {!Interp} lowering) resolves a name to its position once per program.
+    Handles keep their names, so traces, race reports and deadlock
+    diagnoses print the same text they would for a lookup by name. *)
+
+type reply = {
+  name : string;
+  slot : int;
+      (** position of the name's first occurrence in the list given to
+          {!alloc_replies}; the same on every CPE *)
+  parity : Engine.counter array;
+      (** the two parity slots, counters named ["<name>[0]"] and
+          ["<name>[1]"] *)
+}
+(** One CPE's double reply counter. *)
 
 type cpe = {
   rid : int;
   cid : int;
   spm : Spm.t;
-  replies : (string, Engine.counter array) Hashtbl.t;
+  mutable buffers : Spm.buffer array;
+      (** set by {!alloc_buffers}: the handle of the [i]-th declaration *)
+  mutable replies : reply array;
+      (** set by {!alloc_replies}: the handle of the [i]-th reply name *)
 }
 
 type t = {
   config : Config.t;
   engine : Engine.t;
   mem : Mem.t;
-  cpes : cpe array array;
+  cpes : cpe array array;  (** row-major: [cpes.(rid)] is one mesh row *)
+  columns : cpe array array;
+      (** column-major view of the same CPEs, built once: [columns.(cid)] is
+          one mesh column, in row order *)
   dma : Engine.channel;
   row_links : Engine.channel array;
   col_links : Engine.channel array;
   barrier : Engine.barrier;
   trace : Trace.t option;
   faults : Fault.t option;
-  reply_rma : (string, bool) Hashtbl.t;
-      (** which primitive last armed each reply counter name ([true] =
+  mutable reply_rma : bool array;
+      (** which primitive last armed each reply, by [slot] ([true] =
           RMA broadcast, [false] = DMA): wait events use it to attribute
           exposed latency to a pipeline level *)
   m_wait_dma : Sw_obs.Metrics.histogram option;
@@ -53,11 +77,13 @@ val cpe : t -> rid:int -> cid:int -> cpe
 val iter_cpes : t -> (cpe -> unit) -> unit
 
 val alloc_buffers : t -> Sw_ast.Ast.spm_decl list -> unit
-(** Allocate the same buffers on every CPE; raises {!Error.Sim_error}
-    ([Overflow]) on SPM overflow. *)
+(** Allocate the same buffers on every CPE and set each CPE's [buffers];
+    raises {!Error.Sim_error} ([Overflow]) on SPM overflow. *)
 
 val alloc_replies : t -> string list -> unit
-(** Create a double reply counter (two parity slots) per name per CPE. *)
+(** Create a double reply counter (two parity slots) per name per CPE and
+    set each CPE's [replies]; a repeated name shares its first
+    occurrence's counters. *)
 
 val races : t -> Error.race list
 (** All races detected on any CPE, sorted by (rid, cid, buffer, copy,
@@ -65,37 +91,46 @@ val races : t -> Error.race list
 
 (** {2 Athread primitives} (call from a CPE fiber) *)
 
+(** Buffer and reply arguments are the calling CPE's handles; a buffer
+    comes with the copy it names, and [rcopy] picks the parity slot. *)
+
 val dma_get :
   t -> cpe -> array_name:string -> batch:int option -> row_lo:int ->
-  col_lo:int -> rows:int -> cols:int -> buf:string -> copy:int ->
-  reply:string -> rcopy:int -> unit
+  col_lo:int -> rows:int -> cols:int -> buf:Spm.buffer -> copy:int ->
+  reply:reply -> rcopy:int -> unit
 
 val dma_put :
   t -> cpe -> array_name:string -> batch:int option -> row_lo:int ->
-  col_lo:int -> rows:int -> cols:int -> buf:string -> copy:int ->
-  reply:string -> rcopy:int -> unit
+  col_lo:int -> rows:int -> cols:int -> buf:Spm.buffer -> copy:int ->
+  reply:reply -> rcopy:int -> unit
 
 val rma_bcast :
-  t -> cpe -> dir:[ `Row | `Col ] -> src:string * int -> dst:string * int ->
-  rows:int -> cols:int -> root:int -> reply_s:string -> reply_r:string ->
-  rcopy:int -> unit
+  t -> cpe -> dir:[ `Row | `Col ] -> src:Spm.buffer * int ->
+  dst:Spm.buffer * int -> rows:int -> cols:int -> root:int ->
+  reply_s:reply -> reply_r:reply -> rcopy:int -> unit
 (** SPMD broadcast: every CPE of the mesh calls this; the one whose
     row/column coordinate equals [root] is the sender and occupies the
     link. Non-senders only arm their receive counter; the sender's
     completion increments [reply_r] on every CPE of its row/column and
     [reply_s] on itself (non-senders' [reply_s] is satisfied at issue, as
-    they send nothing). *)
+    they send nothing). Each receiver's copy of [dst] and [reply_r] is the
+    one at the same index ({!Spm.index}, [slot]). *)
 
-val wait_reply : t -> cpe -> reply:string -> rcopy:int -> unit
+val wait_reply : t -> cpe -> reply:reply -> rcopy:int -> unit
 
 val wait_reply_deadline :
-  t -> cpe -> reply:string -> rcopy:int -> timeout:float -> bool
+  t -> cpe -> reply:reply -> rcopy:int -> timeout:float -> bool
 (** [wait_reply] with a simulated-time deadline: [false] means the reply
     did not arrive within [timeout] seconds and the caller should retry or
     degrade (see {!Interp} retry policy). *)
 
 val sync : t -> cpe -> unit
-val kernel : t -> cpe -> c:string * int -> a:string * int -> b:string * int ->
-  m:int -> n:int -> k:int -> alpha:float -> accumulate:bool ->
-  ta:bool -> tb:bool -> style:[ `Asm | `Naive ] -> unit
-val spm_map : t -> cpe -> buf:string * int -> rows:int -> cols:int -> fn:string -> unit
+
+val kernel :
+  t -> cpe -> c:Spm.buffer * int -> a:Spm.buffer * int -> b:Spm.buffer * int ->
+  m:int -> n:int -> k:int -> alpha:float -> accumulate:bool -> ta:bool ->
+  tb:bool -> style:[ `Asm | `Naive ] -> unit
+
+val spm_map :
+  t -> cpe -> buf:Spm.buffer * int -> rows:int -> cols:int -> fn:string ->
+  unit

@@ -8,6 +8,16 @@
     data, which is how the generated code's correctness is established
     end-to-end.
 
+    The program is lowered once per run and every fiber executes the
+    lowered form, in both modes: loop and [let] variables live in int slots
+    of a per-CPE environment (slots 0 and 1 hold [Rid] and [Cid]),
+    parameters are constants, each affine expression and predicate is a
+    closure ({!Sw_poly.Aff.lower}, {!Sw_tree.Pred.lower}), and each SPM
+    buffer and reply counter is resolved to its position in the CPE's
+    handle arrays ({!Cluster.cpe}). A name that does not resolve lowers
+    to an op that fails with the [Invalid] text of a lookup by name when
+    it executes, so an op that never executes never fails.
+
     Fibers are labelled ["CPE(r,c)"], so a deadlock diagnosis names the
     exact CPE coordinates and the reply counter (with its parity slot) each
     blocked fiber is parked on. *)
@@ -42,8 +52,9 @@ val run :
 (** Total: never raises {!Error.Sim_error}. [Ok] means the run completed
     race-free; every failure is a typed [Error]: [Race] listing every
     double-buffering violation (sorted by CPE then buffer), [Invalid] for
-    malformed programs (unbound loop variables, unknown parameters, a
-    [User] statement without a [user] callback), [Overflow] for SPM
+    malformed programs (unbound loop variables, unknown parameters,
+    reply counters or SPM buffers, a [User] statement without a [user]
+    callback; each raised when the op naming it executes), [Overflow] for SPM
     exhaustion, [Bounds] for out-of-range main-memory accesses,
     [Deadlock] (with a full quiescence diagnosis) when fibers block
     forever, [Watchdog] when a [?watchdog] budget trips, and

@@ -1,31 +1,26 @@
-type buffer = {
-  rows : int;
-  cols : int;
+type t = {
+  capacity : int;
+  functional : bool;
+  mutable buffers : string list;  (* names allocated so far, newest first *)
+  mutable used : int;
+  mutable races : Error.conflict list;
+}
+
+and buffer = {
+  spm : t;
+  name : string;
+  index : int;
   copies : int;
   data : float array array;  (* per copy; [||] in timing-only mode *)
   last_write : (float * float) array;  (* per copy *)
   last_read : (float * float) array;
 }
 
-type t = {
-  capacity : int;
-  functional : bool;
-  buffers : (string, buffer) Hashtbl.t;
-  mutable used : int;
-  mutable races : Error.conflict list;
-}
-
 let create ~capacity_bytes ~functional =
-  {
-    capacity = capacity_bytes;
-    functional;
-    buffers = Hashtbl.create 7;
-    used = 0;
-    races = [];
-  }
+  { capacity = capacity_bytes; functional; buffers = []; used = 0; races = [] }
 
 let alloc t name ~rows ~cols ~copies =
-  if Hashtbl.mem t.buffers name then
+  if List.mem name t.buffers then
     failwith ("Spm.alloc: duplicate buffer " ^ name);
   if rows <= 0 || cols <= 0 || copies <= 0 then
     failwith ("Spm.alloc: empty buffer " ^ name);
@@ -41,47 +36,43 @@ let alloc t name ~rows ~cols ~copies =
               capacity = t.capacity;
             }));
   t.used <- t.used + bytes;
+  let index = List.length t.buffers in
+  t.buffers <- name :: t.buffers;
   let none = (neg_infinity, neg_infinity) in
-  Hashtbl.add t.buffers name
-    {
-      rows;
-      cols;
-      copies;
-      data =
-        (if t.functional then
-           Array.init copies (fun _ -> Array.make (rows * cols) 0.0)
-         else [||]);
-      last_write = Array.make copies none;
-      last_read = Array.make copies none;
-    }
+  {
+    spm = t;
+    name;
+    index;
+    copies;
+    data =
+      (if t.functional then
+         Array.init copies (fun _ -> Array.make (rows * cols) 0.0)
+       else [||]);
+    last_write = Array.make copies none;
+    last_read = Array.make copies none;
+  }
 
-let find t name =
-  match Hashtbl.find_opt t.buffers name with
-  | Some b -> b
-  | None -> failwith ("Spm: unknown buffer " ^ name)
+let index b = b.index
+let copies b = b.copies
 
-let get_copy t name copy =
-  let b = find t name in
+let check_copy b copy =
   if copy < 0 || copy >= b.copies then
     failwith
-      (Printf.sprintf "Spm: copy %d out of range for %s (%d copies)" copy name
-         b.copies);
-  (b, copy)
+      (Printf.sprintf "Spm: copy %d out of range for %s (%d copies)" copy
+         b.name b.copies)
 
-let tile t name ~copy =
-  let b, c = get_copy t name copy in
-  if not t.functional then
+let tile b ~copy =
+  check_copy b copy;
+  if not b.spm.functional then
     failwith "Spm.tile: no data in timing-only mode";
-  b.data.(c)
-
-let copies t name = (find t name).copies
+  b.data.(copy)
 
 let overlap (s1, f1) (s2, f2) = s1 < f2 && s2 < f1
 
-let conflict t name c kind ~start ~finish ~prev =
-  t.races <-
+let conflict b c kind ~start ~finish ~prev =
+  b.spm.races <-
     {
-      Error.buffer = name;
+      Error.buffer = b.name;
       copy = c;
       kind;
       op_start = start;
@@ -89,28 +80,28 @@ let conflict t name c kind ~start ~finish ~prev =
       prev_start = fst prev;
       prev_finish = snd prev;
     }
-    :: t.races
+    :: b.spm.races
 
-let note_write t name ~copy ~start ~finish =
-  let b, c = get_copy t name copy in
+let note_write b ~copy:c ~start ~finish =
+  check_copy b c;
   if overlap (start, finish) b.last_read.(c) then
-    conflict t name c `Write_read ~start ~finish ~prev:b.last_read.(c);
+    conflict b c `Write_read ~start ~finish ~prev:b.last_read.(c);
   if overlap (start, finish) b.last_write.(c) then
-    conflict t name c `Write_write ~start ~finish ~prev:b.last_write.(c);
+    conflict b c `Write_write ~start ~finish ~prev:b.last_write.(c);
   b.last_write.(c) <- (start, finish)
 
-let note_read t name ~copy ~start ~finish =
-  let b, c = get_copy t name copy in
+let note_read b ~copy:c ~start ~finish =
+  check_copy b c;
   if overlap (start, finish) b.last_write.(c) then
-    conflict t name c `Read_write ~start ~finish ~prev:b.last_write.(c);
+    conflict b c `Read_write ~start ~finish ~prev:b.last_write.(c);
   b.last_read.(c) <- (start, finish)
 
 let races t = List.rev t.races
 
-let corrupt t name ~copy ~index ~delta =
-  let b, c = get_copy t name copy in
-  if t.functional then begin
-    let tile = b.data.(c) in
+let corrupt b ~copy ~index ~delta =
+  check_copy b copy;
+  if b.spm.functional then begin
+    let tile = b.data.(copy) in
     if index >= 0 && index < Array.length tile then
       tile.(index) <- tile.(index) +. delta
   end

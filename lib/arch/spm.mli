@@ -10,33 +10,44 @@
 
 type t
 
+type buffer
+(** A handle to one allocated buffer of one SPM. {!alloc} returns it once;
+    every later access goes through the handle, with no lookup by name.
+    The handle keeps the buffer's name for race reports. *)
+
 val create : capacity_bytes:int -> functional:bool -> t
 (** With [functional = false] no data is stored, only capacity and race
     bookkeeping (used for timing-only simulations of huge problems).
     {!Cluster.create} passes the mode of its {!Mem.t}. *)
 
-val alloc : t -> string -> rows:int -> cols:int -> copies:int -> unit
+val alloc : t -> string -> rows:int -> cols:int -> copies:int -> buffer
 (** Raises {!Error.Sim_error} ([Overflow]) when the allocation exceeds
     remaining capacity. *)
 
-val tile : t -> string -> copy:int -> float array
+val index : buffer -> int
+(** Position of the buffer among its SPM's allocations (0 for the first).
+    CPEs that allocate the same declarations in the same order give the
+    same buffer the same index, which is how a broadcast finds the
+    receiving CPEs' copy of its destination. *)
+
+val copies : buffer -> int
+
+val tile : buffer -> copy:int -> float array
 (** The backing array of one copy ([functional] mode only). *)
 
-val copies : t -> string -> int
-
-val note_write : t -> string -> copy:int -> start:float -> finish:float -> unit
+val note_write : buffer -> copy:int -> start:float -> finish:float -> unit
 (** Record a write interval (DMA-get or RMA arrival into the buffer) and
     check it against the last read. *)
 
-val note_read : t -> string -> copy:int -> start:float -> finish:float -> unit
+val note_read : buffer -> copy:int -> start:float -> finish:float -> unit
 (** Record a read interval (kernel consuming the buffer, DMA-put draining
     it) and check it against the last write. *)
 
 val races : t -> Error.conflict list
-(** All races detected so far, in detection order (use
-    {!Error.conflict_to_string} to render). *)
+(** All races detected so far on any buffer of this SPM, in detection
+    order (use {!Error.conflict_to_string} to render). *)
 
-val corrupt : t -> string -> copy:int -> index:int -> delta:float -> unit
+val corrupt : buffer -> copy:int -> index:int -> delta:float -> unit
 (** Fault injection: perturb one element of a copy's backing data
     ([functional] mode only; a no-op in timing-only mode or when [index]
     is out of range). *)

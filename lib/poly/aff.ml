@@ -98,6 +98,64 @@ let rec eval ~vars ~params = function
   | Fdiv (a, d) -> Ints.fdiv (eval ~vars ~params a) d
   | Mod (a, d) -> Ints.fmod (eval ~vars ~params a) d
 
+type leaf = Slot of int | Value of int | Dynamic of (int array -> int)
+
+let evaluator = function
+  | Value n -> fun _ -> n
+  | Slot i -> fun env -> env.(i)
+  | Dynamic f -> f
+
+(* Lowering folds constants and fuses the shapes generated code is made
+   of (a slot plus or times a constant, a slot's floor or modulo) into one
+   closure each. Every other node keeps [eval]'s operator and operand
+   order, so a [Dynamic] leaf that raises is reached exactly when [eval]
+   would reach the name it stands for. *)
+let lower ~vars ~params e =
+  let rec go = function
+    | Const n -> Value n
+    | Var s -> vars s
+    | Param s -> params s
+    | Add (a, b) -> (
+        match (go a, go b) with
+        | Value x, Value y -> Value (x + y)
+        | Slot i, Value y -> Dynamic (fun env -> env.(i) + y)
+        | Value x, Slot j -> Dynamic (fun env -> x + env.(j))
+        | Slot i, Slot j -> Dynamic (fun env -> env.(i) + env.(j))
+        | a, b ->
+            let fa = evaluator a and fb = evaluator b in
+            Dynamic (fun env -> fa env + fb env))
+    | Sub (a, b) -> (
+        match (go a, go b) with
+        | Value x, Value y -> Value (x - y)
+        | Slot i, Value y -> Dynamic (fun env -> env.(i) - y)
+        | Slot i, Slot j -> Dynamic (fun env -> env.(i) - env.(j))
+        | a, b ->
+            let fa = evaluator a and fb = evaluator b in
+            Dynamic (fun env -> fa env - fb env))
+    | Mul (k, a) -> (
+        match go a with
+        | Value x -> Value (k * x)
+        | Slot i -> Dynamic (fun env -> k * env.(i))
+        | a ->
+            let fa = evaluator a in
+            Dynamic (fun env -> k * fa env))
+    | Fdiv (a, d) -> (
+        match go a with
+        | Value x when d <> 0 -> Value (Ints.fdiv x d)
+        | Slot i -> Dynamic (fun env -> Ints.fdiv env.(i) d)
+        | a ->
+            let fa = evaluator a in
+            Dynamic (fun env -> Ints.fdiv (fa env) d))
+    | Mod (a, d) -> (
+        match go a with
+        | Value x when d <> 0 -> Value (Ints.fmod x d)
+        | Slot i -> Dynamic (fun env -> Ints.fmod env.(i) d)
+        | a ->
+            let fa = evaluator a in
+            Dynamic (fun env -> Ints.fmod (fa env) d))
+  in
+  evaluator (go e)
+
 let rec render ~div e =
   (* [atom] parenthesizes sums appearing where a tighter-binding position is
      expected; multiplication by a constant never needs parentheses there. *)

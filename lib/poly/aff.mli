@@ -43,6 +43,23 @@ val free_params : t -> string list
 val eval : vars:(string -> int) -> params:(string -> int) -> t -> int
 (** Evaluate with mathematical floor semantics for [Fdiv]/[Mod]. *)
 
+(** How {!lower} resolves a name, once, when it lowers an expression. *)
+type leaf =
+  | Slot of int  (** read [env.(i)] of the environment passed at evaluation *)
+  | Value of int  (** a value fixed at lowering time *)
+  | Dynamic of (int array -> int)
+      (** computed at evaluation; a name that cannot be resolved lowers to
+          a [Dynamic] that raises, so the error surfaces only when (and
+          if) the expression is evaluated *)
+
+val lower :
+  vars:(string -> leaf) -> params:(string -> leaf) -> t -> int array -> int
+(** Compile an expression into an evaluator over an environment of int
+    slots: [lower ~vars ~params e] resolves every name once, folds
+    constants, and returns a closure that agrees with {!eval} (same
+    floor semantics, same operand order, so a raising [Dynamic] leaf is
+    reached exactly when [eval] would call for its name). *)
+
 val to_string : t -> string
 (** Human-readable rendering, e.g. ["i - 64*floord(i, 64)"]. *)
 

@@ -17,6 +17,16 @@ let eval ~vars ~params t =
   | Ge -> l >= r
   | Gt -> l > r
 
+let lower ~vars ~params t =
+  let fl = Aff.lower ~vars ~params t.lhs and fr = Aff.lower ~vars ~params t.rhs in
+  (* one closure per relation, each with [eval]'s operand order *)
+  match t.rel with
+  | Eq -> fun env -> let l = fl env and r = fr env in l = r
+  | Le -> fun env -> let l = fl env and r = fr env in l <= r
+  | Lt -> fun env -> let l = fl env and r = fr env in l < r
+  | Ge -> fun env -> let l = fl env and r = fr env in l >= r
+  | Gt -> fun env -> let l = fl env and r = fr env in l > r
+
 let to_ineqs t =
   let d = Aff.sub t.rhs t.lhs in
   match t.rel with

@@ -16,6 +16,12 @@ val le : Aff.t -> Aff.t -> t
 val ge : Aff.t -> Aff.t -> t
 val eval : vars:(string -> int) -> params:(string -> int) -> t -> bool
 
+val lower :
+  vars:(string -> Aff.leaf) -> params:(string -> Aff.leaf) -> t ->
+  int array -> bool
+(** Compile a predicate once into an evaluator over int slots (see
+    {!Sw_poly.Aff.lower}); it agrees with {!eval}. *)
+
 val to_ineqs : t -> Aff.t list
 (** The predicate as a conjunction of expressions constrained to be [>= 0]
     (an equality contributes two). *)

@@ -75,6 +75,87 @@ let prop_subst_compose =
           ~vars:(function "x" -> b + a | "y" -> b | _ -> 0)
           ~params:(fun _ -> 0) e)
 
+(* The lowered evaluators against the reference [eval]. Trees are built
+   from raw constructors (no smart-constructor folding, so every fused
+   shape of [lower] is reached) over four slot variables x0..x3, two
+   constant parameters p0, p1 and one computed parameter p2; operands
+   range over negative values so Fdiv and Mod see them. *)
+let gen_aff =
+  QCheck.Gen.(
+    sized_size (int_bound 6)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun c -> Aff.Const c) (int_range (-40) 40);
+                 map (fun i -> Aff.Var (Printf.sprintf "x%d" i)) (int_bound 3);
+                 map (fun i -> Aff.Param (Printf.sprintf "p%d" i)) (int_bound 2);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (1, leaf);
+                 (2, map2 (fun a b -> Aff.Add (a, b)) sub sub);
+                 (2, map2 (fun a b -> Aff.Sub (a, b)) sub sub);
+                 (1, map2 (fun k a -> Aff.Mul (k, a)) (int_range (-5) 5) sub);
+                 (2, map2 (fun a d -> Aff.Fdiv (a, d)) sub (int_range 1 7));
+                 (2, map2 (fun a d -> Aff.Mod (a, d)) sub (int_range 1 7));
+               ]))
+
+let gen_env = QCheck.Gen.(array_size (return 4) (int_range (-60) 60))
+let gen_params = QCheck.Gen.(pair (int_range (-60) 60) (int_range (-60) 60))
+
+(* The resolvers [lower] sees and the lookups [eval] sees, for one
+   environment and one parameter binding. *)
+let resolvers (p0, p1) =
+  let slot v = int_of_string (String.sub v 1 (String.length v - 1)) in
+  let computed env = env.(0) - (3 * env.(3)) in
+  let lower_params = function
+    | "p0" -> Aff.Value p0
+    | "p1" -> Aff.Value p1
+    | _ -> Aff.Dynamic computed
+  in
+  let eval_params env = function "p0" -> p0 | "p1" -> p1 | _ -> computed env in
+  ( (fun v -> Aff.Slot (slot v)),
+    lower_params,
+    (fun env v -> env.(slot v)),
+    eval_params )
+
+let prop_aff_lower_agrees =
+  qtest ~count:500 "Aff.lower agrees with Aff.eval"
+    (QCheck.make
+       ~print:(fun (e, env, (p0, p1)) ->
+         Printf.sprintf "%s with x = [%s], p0 = %d, p1 = %d" (Aff.to_string e)
+           (String.concat "; " (Array.to_list (Array.map string_of_int env)))
+           p0 p1)
+       QCheck.Gen.(triple gen_aff gen_env gen_params))
+    (fun (e, env, ps) ->
+      let vars, params, eval_vars, eval_params = resolvers ps in
+      Aff.lower ~vars ~params e env
+      = Aff.eval ~vars:(eval_vars env) ~params:(eval_params env) e)
+
+let prop_pred_lower_agrees =
+  let open Sw_tree in
+  let gen_pred =
+    QCheck.Gen.(
+      map3
+        (fun lhs rel rhs -> { Pred.lhs; rel; rhs })
+        gen_aff
+        (oneofl [ Pred.Eq; Pred.Le; Pred.Lt; Pred.Ge; Pred.Gt ])
+        gen_aff)
+  in
+  qtest ~count:500 "Pred.lower agrees with Pred.eval"
+    (QCheck.make
+       ~print:(fun (p, _, _) -> Pred.to_string p)
+       QCheck.Gen.(triple gen_pred gen_env gen_params))
+    (fun (p, env, ps) ->
+      let vars, params, eval_vars, eval_params = resolvers ps in
+      Pred.lower ~vars ~params p env
+      = Pred.eval ~vars:(eval_vars env) ~params:(eval_params env) p)
+
 (* ------------------------------------------------------------------ *)
 (* Access                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -254,5 +335,7 @@ let tests =
     ("batched GEMM parallelism", `Quick, test_batched_gemm_parallelism);
     prop_eval_fdiv;
     prop_subst_compose;
+    prop_aff_lower_agrees;
+    prop_pred_lower_agrees;
     prop_pointwise_always_parallel;
   ]

@@ -182,27 +182,27 @@ let test_mem_offsets () =
 
 let test_spm_capacity () =
   let spm = Spm.create ~capacity_bytes:1024 ~functional:true in
-  Spm.alloc spm "x" ~rows:4 ~cols:8 ~copies:2;
+  let x = Spm.alloc spm "x" ~rows:4 ~cols:8 ~copies:2 in
   (match Spm.alloc spm "y" ~rows:8 ~cols:9 ~copies:1 with
   | exception Error.Sim_error (Error.Overflow o) ->
       check Alcotest.string "buffer named" "y" o.buffer;
       check Alcotest.int "needed bytes" (8 * 8 * 9) o.needed;
       check Alcotest.int "capacity" 1024 o.capacity
   | _ -> Alcotest.fail "expected overflow");
-  check Alcotest.int "copies" 2 (Spm.copies spm "x")
+  check Alcotest.int "copies" 2 (Spm.copies x)
 
 let test_spm_race_detection () =
   let spm = Spm.create ~capacity_bytes:4096 ~functional:false in
-  Spm.alloc spm "buf" ~rows:4 ~cols:4 ~copies:2;
+  let buf = Spm.alloc spm "buf" ~rows:4 ~cols:4 ~copies:2 in
   (* read [1, 2); overlapping write [1.5, 2.5) on the same copy: race *)
-  Spm.note_read spm "buf" ~copy:0 ~start:1.0 ~finish:2.0;
-  Spm.note_write spm "buf" ~copy:0 ~start:1.5 ~finish:2.5;
+  Spm.note_read buf ~copy:0 ~start:1.0 ~finish:2.0;
+  Spm.note_write buf ~copy:0 ~start:1.5 ~finish:2.5;
   check Alcotest.int "one race" 1 (List.length (Spm.races spm));
   (* same interval on the other copy: no race (double buffering works) *)
-  Spm.note_write spm "buf" ~copy:1 ~start:1.5 ~finish:2.5;
+  Spm.note_write buf ~copy:1 ~start:1.5 ~finish:2.5;
   check Alcotest.int "still one race" 1 (List.length (Spm.races spm));
   (* disjoint windows: no race *)
-  Spm.note_read spm "buf" ~copy:1 ~start:3.0 ~finish:4.0;
+  Spm.note_read buf ~copy:1 ~start:3.0 ~finish:4.0;
   check Alcotest.int "no new race" 1 (List.length (Spm.races spm))
 
 (* ------------------------------------------------------------------ *)
@@ -762,13 +762,78 @@ let test_interp_user_missing_callback () =
   let mem = Mem.create ~functional:true in
   let config = Config.tiny ~mesh:1 ~mk:(2, 2, 2) () in
   match Interp.run ~config ~mem prog with
-  | Error (Error.Invalid _) -> ()
+  | Error (Error.Invalid msg) ->
+      check Alcotest.string "message" "User statement S but no user callback"
+        msg
   | _ -> Alcotest.fail "missing user callback accepted"
+
+(* A name the program cannot resolve fails the op that uses it, with the
+   text a lookup by name gives, when that op executes; an op that never
+   executes never fails. *)
+let test_interp_unresolved_names () =
+  let open Sw_ast in
+  let dma ?(buf = "ldm") ?(reply = "rA") ?(row = Aff.const 0) () =
+    Ast.Op
+      (Comm.Dma_get
+         {
+           Comm.array = "A";
+           spm = Comm.buf buf;
+           batch = None;
+           row_lo = row;
+           col_lo = Aff.const 0;
+           rows = 2;
+           cols = 2;
+           reply;
+           reply_parity = None;
+         })
+  in
+  let bad =
+    [
+      ("unbound loop variable", dma ~row:(Aff.var "zz") (), "unbound loop variable zz");
+      ("unknown parameter", dma ~row:(Aff.param "Q") (), "unknown parameter Q");
+      ("unknown reply", dma ~reply:"rZ" (), "Cluster: unknown reply counter rZ");
+      ( "unknown wait",
+        Ast.Op (Comm.Wait { reply = "rZ"; reply_parity = None }),
+        "Cluster: unknown reply counter rZ" );
+      ("unknown buffer", dma ~buf:"nope" (), "Spm: unknown buffer nope");
+    ]
+  in
+  let run body =
+    let mem = Mem.create ~functional:false in
+    Mem.alloc mem "A" ~dims:[ 4; 4 ];
+    Interp.run ~config:(Config.tiny ~mesh:2 ~mk:(2, 2, 2) ()) ~mem
+      {
+        Ast.prog_name = "unresolved";
+        params = [ ("N", 4) ];
+        arrays = [ { Ast.array_name = "A"; dims = [ 4; 4 ] } ];
+        spm_decls = [ { Ast.buf_name = "ldm"; rows = 2; cols = 2; copies = 1 } ];
+        replies = [ "rA" ];
+        body;
+      }
+  in
+  List.iter
+    (fun (what, op, expected) ->
+      match run [ op ] with
+      | Error (Error.Invalid msg) -> check Alcotest.string what expected msg
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e))
+    bad;
+  let never =
+    Ast.If
+      {
+        conds = [ Pred.eq (Aff.param "Rid") (Aff.const 7) ];
+        body = List.map (fun (_, op, _) -> op) bad @ [ Ast.User { name = "S"; args = [] } ];
+      }
+  in
+  match run [ never ] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "ops that never run failed: %s" (Error.to_string e)
 
 let user_tests =
   [
     ("interp user callback", `Quick, test_interp_user_callback);
     ("interp user without callback", `Quick, test_interp_user_missing_callback);
+    ("interp unresolved names fail when executed", `Quick, test_interp_unresolved_names);
   ]
 
 let tests = tests @ user_tests

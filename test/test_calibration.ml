@@ -190,3 +190,25 @@ let test_extrapolation_on_real_config () =
 
 let tests =
   tests @ [ ("extrapolation on the real config", `Quick, test_extrapolation_on_real_config) ]
+
+(* The exact simulation of the 2048^3 kernel is pinned event for event, not
+   only to the bit in simulated seconds: a change to the simulator's host
+   implementation must replay the same events (no fast-forwarding). *)
+let test_exact_2048_events () =
+  let c = compile_exn ~config (Spec.make ~m:2048 ~n:2048 ~k:2048 ()) in
+  let registry = Sw_obs.Metrics.create () in
+  Sw_obs.Metrics.install registry;
+  let p =
+    Fun.protect ~finally:Sw_obs.Metrics.uninstall (fun () ->
+        Runner.measure_exact c)
+  in
+  Alcotest.(check string) "seconds" "0x1.6baa25689dd8fp-7"
+    (Printf.sprintf "%h" p.Runner.seconds);
+  match
+    Sw_obs.Metrics.find (Sw_obs.Metrics.snapshot registry) "sim.events_total"
+  with
+  | Some (Sw_obs.Metrics.Counter n) -> Alcotest.(check int) "events" 242_902 n
+  | _ -> Alcotest.fail "sim.events_total not recorded"
+
+let tests =
+  tests @ [ ("exact 2048^3 replays 242902 events", `Quick, test_exact_2048_events) ]

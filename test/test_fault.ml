@@ -81,7 +81,7 @@ let test_deadlock_forensics () =
   let c00 = Cluster.cpe cluster ~rid:0 ~cid:0 in
   Engine.spawn ~label:"CPE(0,0)" cluster.Cluster.engine (fun () ->
       Engine.delay 1.0e-6;
-      Cluster.wait_reply cluster c00 ~reply:"rA" ~rcopy:0);
+      Cluster.wait_reply cluster c00 ~reply:c00.Cluster.replies.(0) ~rcopy:0);
   match Engine.run cluster.Cluster.engine with
   | _ -> Alcotest.fail "expected a deadlock"
   | exception Error.Sim_error (Error.Deadlock d) ->

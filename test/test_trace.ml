@@ -87,12 +87,13 @@ let test_zero_duration_events_recorded () =
     [ { Sw_ast.Ast.buf_name = "bufA"; rows = 4; cols = 4; copies = 1 } ];
   Cluster.alloc_replies cluster [ "rA" ];
   let c00 = Cluster.cpe cluster ~rid:0 ~cid:0 in
+  let buf = c00.Cluster.buffers.(0) and reply = c00.Cluster.replies.(0) in
   Engine.spawn ~label:"CPE(0,0)" cluster.Cluster.engine (fun () ->
       Cluster.dma_get cluster c00 ~array_name:"A" ~batch:None ~row_lo:0
-        ~col_lo:0 ~rows:4 ~cols:4 ~buf:"bufA" ~copy:0 ~reply:"rA" ~rcopy:0;
-      Cluster.wait_reply cluster c00 ~reply:"rA" ~rcopy:0;
+        ~col_lo:0 ~rows:4 ~cols:4 ~buf ~copy:0 ~reply ~rcopy:0;
+      Cluster.wait_reply cluster c00 ~reply ~rcopy:0;
       (* second wait on the same reply: satisfied at issue, zero duration *)
-      Cluster.wait_reply cluster c00 ~reply:"rA" ~rcopy:0);
+      Cluster.wait_reply cluster c00 ~reply ~rcopy:0);
   ignore (Engine.run cluster.Cluster.engine);
   let is_wait = function Trace.Wait_reply _ -> true | _ -> false in
   let waits =
