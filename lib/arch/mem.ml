@@ -1,5 +1,7 @@
-(* name -> (dims, data); data is [[||]] in a timing memory *)
-type t = { functional : bool; arrays : (string, int array * float array) Hashtbl.t }
+type handle = { name : string; dims : int array; data : float array }
+
+(* [data] is [[||]] in a timing memory *)
+type t = { functional : bool; arrays : (string, handle) Hashtbl.t }
 
 let create ~functional = { functional; arrays = Hashtbl.create 7 }
 let functional t = t.functional
@@ -16,24 +18,22 @@ let alloc t name ~dims =
     if t.functional then Array.make (Array.fold_left ( * ) 1 dims) 0.0
     else [||]
   in
-  Hashtbl.add t.arrays name (dims, data)
+  Hashtbl.add t.arrays name { name; dims; data }
+
+let handle t name = Hashtbl.find_opt t.arrays name
 
 let find t name =
-  match Hashtbl.find_opt t.arrays name with
-  | Some a -> a
+  match handle t name with
+  | Some h -> h
   | None -> invalid_arg ("Mem: unknown array " ^ name)
 
 let data t name =
-  let _, data = find t name in
+  let h = find t name in
   if not t.functional then
     invalid_arg ("Mem.data: timing memory holds no data for " ^ name);
-  data
+  h.data
 
-let dims t name = fst (find t name)
-
-let row_len t name =
-  let d = dims t name in
-  d.(Array.length d - 1)
+let dims t name = (find t name).dims
 
 let bounds name fmt =
   Printf.ksprintf
@@ -41,16 +41,18 @@ let bounds name fmt =
       raise (Error.Sim_error (Error.Bounds { array_name = name; detail })))
     fmt
 
-let offset t name ?batch ~row ~col () =
-  match (dims t name, batch) with
-  | [| r; c |], None ->
+let offset h ~batched ~batch ~row ~col =
+  let name = h.name in
+  match h.dims with
+  | [| r; c |] when not batched ->
       if row < 0 || row >= r || col < 0 || col >= c then
         bounds name "(%d, %d) outside %s[%d][%d]" row col name r c;
       (row * c) + col
-  | [| b; r; c |], Some bi ->
-      if bi < 0 || bi >= b || row < 0 || row >= r || col < 0 || col >= c then
-        bounds name "(%d, %d, %d) outside %s[%d][%d][%d]" bi row col name b r c;
-      (bi * r * c) + (row * c) + col
-  | [| _; _ |], Some _ -> bounds name "batch index into 2-D array %s" name
-  | [| _; _; _ |], None -> bounds name "missing batch index for 3-D array %s" name
-  | _ -> assert false
+  | [| b; r; c |] when batched ->
+      if batch < 0 || batch >= b || row < 0 || row >= r || col < 0 || col >= c
+      then
+        bounds name "(%d, %d, %d) outside %s[%d][%d][%d]" batch row col name b
+          r c;
+      (batch * r * c) + (row * c) + col
+  | [| _; _ |] -> bounds name "batch index into 2-D array %s" name
+  | _ -> bounds name "missing batch index for 3-D array %s" name

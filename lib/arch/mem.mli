@@ -8,6 +8,14 @@
 
 type t
 
+type handle = private {
+  name : string;
+  dims : int array;
+  data : float array;  (** [[||]] in a timing memory *)
+}
+(** One allocated array, resolved once by {!handle} so that the simulator
+    addresses it without a lookup by name. *)
+
 val create : functional:bool -> t
 
 val functional : t -> bool
@@ -17,15 +25,14 @@ val alloc : t -> string -> dims:int list -> unit
     only in a timing one. Raises [Invalid_argument] on duplicate names or
     dimensionality outside {2, 3}. *)
 
+val handle : t -> string -> handle option
+
 val data : t -> string -> float array
 (** Raises [Invalid_argument] on a timing memory, which holds no data. *)
 
 val dims : t -> string -> int array
 
-val row_len : t -> string -> int
-(** Extent of the last (contiguous) dimension. *)
-
-val offset : t -> string -> ?batch:int -> row:int -> col:int -> unit -> int
-(** Flat element offset of [(batch,) row, col]; bounds-checked. Raises
-    {!Error.Sim_error} ([Bounds]) on an out-of-range or mis-batched
-    access. *)
+val offset : handle -> batched:bool -> batch:int -> row:int -> col:int -> int
+(** Flat element offset of [(batch,) row, col]; [batch] is read only when
+    [batched]. Raises {!Error.Sim_error} ([Bounds]) on an out-of-range or
+    mis-batched access. *)

@@ -67,3 +67,26 @@ let compile_exn ?options ?debug ?cache ?observer ~config spec =
     (Sw_core.Session.create ?options ?debug ?cache ~no_cache:true ?observer
        ~arch:config ())
     spec
+
+(* Engine fibers for tests, as scripts: fiber [f] runs the steps
+   [steps.(f)] in order, and a step returns [true] when it suspended the
+   fiber, which then resumes at the next step. Pass the result as
+   [Engine.run ~resume]; fibers beyond the array do nothing. *)
+let scripted steps =
+  let left = Array.map ref steps in
+  fun fid ->
+    if fid < Array.length left then begin
+      let rec go () =
+        match !(left.(fid)) with
+        | [] -> ()
+        | s :: rest ->
+            left.(fid) := rest;
+            if not (s fid) then go ()
+      in
+      go ()
+    end
+
+(* A step that only runs [f]. *)
+let now_do f _ =
+  f ();
+  false
