@@ -19,14 +19,7 @@ let kind_to_string = function
   | Straggler -> "straggler"
   | Flip -> "flip"
 
-let kind_of_string = function
-  | "jitter" -> Some Jitter
-  | "stall" -> Some Stall
-  | "delay" -> Some Delay_reply
-  | "drop" -> Some Drop_reply
-  | "straggler" -> Some Straggler
-  | "flip" -> Some Flip
-  | _ -> None
+let kind_of_string s = List.find_opt (fun k -> kind_to_string k = s) all_kinds
 
 type spec = {
   kinds : kind list;
