@@ -80,13 +80,8 @@ let race_to_string r =
 
 (* Deterministic order: by CPE coordinates, then buffer/copy, then time. *)
 let compare_race a b =
-  let c = compare (a.rid, a.cid) (b.rid, b.cid) in
-  if c <> 0 then c
-  else
-    let c =
-      compare (a.conflict.buffer, a.conflict.copy) (b.conflict.buffer, b.conflict.copy)
-    in
-    if c <> 0 then c else compare a.conflict.op_start b.conflict.op_start
+  let key r = (r.rid, r.cid, r.conflict.buffer, r.conflict.copy, r.conflict.op_start) in
+  compare (key a) (key b)
 
 let blocked_to_string b =
   Printf.sprintf "%s awaiting %s >= %d (currently %d), parked at t=%.6gs" b.fiber

@@ -1,26 +1,23 @@
 (** SPMD interpreter: runs a generated {!Sw_ast.Ast.program} on the
-    simulated cluster.
-
-    One fiber per CPE executes the program body with its own [Rid]/[Cid];
+    simulated cluster, one fiber per CPE with its own [Rid]/[Cid]. The
     communication ops use the {!Cluster} primitives, so the simulation is
     timing-accurate (shared memory-controller bandwidth, RMA links, barrier
     costs, micro-kernel cycles) and — when [mem] is functional — moves real
     data, which is how the generated code's correctness is established
     end-to-end.
 
-    The program is lowered once per run and every fiber executes the
-    lowered form, in both modes: loop and [let] variables live in int slots
-    of a per-CPE environment (slots 0 and 1 hold [Rid] and [Cid]),
-    parameters are constants, each affine expression and predicate is a
-    closure ({!Sw_poly.Aff.lower}, {!Sw_tree.Pred.lower}), and each SPM
-    buffer and reply counter is resolved to its position in the CPE's
-    handle arrays ({!Cluster.cpe}). A name that does not resolve lowers
-    to an op that fails with the [Invalid] text of a lookup by name when
-    it executes, so an op that never executes never fails.
-
-    Fibers are labelled ["CPE(r,c)"], so a deadlock diagnosis names the
-    exact CPE coordinates and the reply counter (with its parity slot) each
-    blocked fiber is parked on. *)
+    The program is lowered once per run into one flat array of ops, and
+    every fiber walks it with its own program counter, in both modes: an
+    op is a closure made at lowering, loops and conditionals are jumps,
+    variables live in int slots of a per-CPE environment, parameters are
+    constants, each affine expression and predicate is a closure
+    ({!Sw_poly.Aff.lower}, {!Sw_tree.Pred.lower}), and each SPM buffer,
+    reply counter and main-memory array is resolved once to a handle. A
+    name that does not resolve lowers to an op that fails with the
+    [Invalid] text of a lookup by name when it executes, so an op that
+    never executes never fails. Fibers are labelled ["CPE(r,c)"], so a
+    deadlock diagnosis names the CPE and the reply counter (with its
+    parity slot) each blocked fiber is parked on. *)
 
 type retry_policy = {
   timeout_s : float;  (** first deadline for a blocked wait *)
@@ -53,8 +50,9 @@ val run :
     race-free; every failure is a typed [Error]: [Race] listing every
     double-buffering violation (sorted by CPE then buffer), [Invalid] for
     malformed programs (unbound loop variables, unknown parameters,
-    reply counters or SPM buffers, a [User] statement without a [user]
-    callback; each raised when the op naming it executes), [Overflow] for SPM
+    reply counters, SPM buffers or main-memory arrays, a [User] statement
+    without a [user] callback; each raised when the op naming it
+    executes; a duplicate or empty SPM declaration), [Overflow] for SPM
     exhaustion, [Bounds] for out-of-range main-memory accesses,
     [Deadlock] (with a full quiescence diagnosis) when fibers block
     forever, [Watchdog] when a [?watchdog] budget trips, and
