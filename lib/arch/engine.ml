@@ -38,10 +38,7 @@ type t = {
   mutable ncounters : int;
   mutable watchdog : watchdog;
   mutable events_run : int;
-  (* instruments resolved once at creation from the ambient registry, so
-     the per-event cost when metrics are on is one observation and when
-     off a single match on None *)
-  m_queue_depth : Sw_obs.Metrics.histogram option;
+  (* resolved once at creation from the ambient registry *)
   m_events : Sw_obs.Metrics.counter option;
 }
 
@@ -56,7 +53,6 @@ and counter = {
 }
 
 let create () =
-  let metric f = Option.map f (Sw_obs.Metrics.current ()) in
   {
     clock = { now = 0.0 };
     seq = 0;
@@ -70,11 +66,10 @@ let create () =
     ncounters = 0;
     watchdog = no_watchdog;
     events_run = 0;
-    m_queue_depth =
-      metric (fun r ->
-          Sw_obs.Metrics.histogram r ~lower:1.0 ~growth:2.0 ~buckets:24
-            "sim.queue_depth");
-    m_events = metric (fun r -> Sw_obs.Metrics.counter r "sim.events_total");
+    m_events =
+      Option.map
+        (fun r -> Sw_obs.Metrics.counter r "sim.events_total")
+        (Sw_obs.Metrics.current ());
   }
 
 let[@inline] now t = t.clock.now
@@ -119,10 +114,7 @@ let[@inline] push t at tag =
   t.times.(!i) <- at;
   t.seqs.(!i) <- t.seq;
   t.tags.(!i) <- tag;
-  t.size <- t.size + 1;
-  match t.m_queue_depth with
-  | None -> ()
-  | Some h -> Sw_obs.Metrics.observe h (float_of_int t.size)
+  t.size <- t.size + 1
 
 let[@inline] before t i j =
   t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))

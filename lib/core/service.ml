@@ -78,9 +78,8 @@ let verify_request t params =
       | Result.Error (Runner.Mismatch _ as e) ->
           Result.Error (Error.Invalid (Runner.error_to_string e)))
 
-(* ROADMAP item 1 follow-up: expose the simulator's performance model
-   over the wire so remote clients can rank configurations without a
-   local toolchain. *)
+(* Expose the simulator's performance model over the wire so remote
+   clients can rank configurations without a local toolchain. *)
 let profile_request t params =
   match compile_request t params with
   | Result.Error _ as e -> e

@@ -1,9 +1,10 @@
 (* Fixed-size domain pool with a shared work queue.
 
    Determinism contract (see pool.mli): results in input order, first
-   failing index's exception re-raised, per-task observability snapshots
-   absorbed into the parent in task order. A [jobs = 1] pool runs inline
-   through List.map — byte-identical to the pre-pool sequential code. *)
+   failing index's exception re-raised, per-task observability contexts
+   (Sw_obs.Ctx) absorbed into the parent in task order. A [jobs = 1] pool
+   runs inline through List.map — byte-identical to the pre-pool
+   sequential code. *)
 
 type task = unit -> unit
 
@@ -76,10 +77,10 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* One parallel region. Each task may stash an observability snapshot
-   (fresh per-task registry/sink when the parent has one installed); the
-   parent absorbs them in task order after the barrier, so metric totals
-   and trace content do not depend on the interleaving. *)
+(* One parallel region. Each task runs under a fork of the caller's
+   observability context; the parent absorbs the forks in task order after
+   the barrier, so metric totals, trace content and log lines do not
+   depend on the interleaving. *)
 let map t f xs =
   if t.jobs <= 1 then List.map f xs
   else begin
@@ -87,13 +88,8 @@ let map t f xs =
     let n = Array.length input in
     if n = 0 then []
     else begin
+      let ctx = Sw_obs.Ctx.current () in
       let results = Array.make n None in
-      let parent_reg = Sw_obs.Metrics.current () in
-      let parent_sink = Sw_obs.Span.current () in
-      let parent_log = Sw_obs.Log.current () in
-      let snaps = Array.make n None in
-      let lanes = Array.make n None in
-      let logs = Array.make n None in
       let remaining = ref n in
       let finished = Condition.create () in
       let task i () =
@@ -105,37 +101,12 @@ let map t f xs =
             if !remaining = 0 then Condition.broadcast finished;
             Mutex.unlock t.mutex)
         @@ fun () ->
-        (match parent_reg with
-        | Some _ -> Sw_obs.Metrics.install (Sw_obs.Metrics.create ())
-        | None -> ());
-        (match parent_sink with
-        | Some p ->
-            Sw_obs.Span.install
-              (Sw_obs.Span.create ~epoch:(Sw_obs.Span.epoch p) ())
-        | None -> ());
-        (match parent_log with
-        | Some p -> Sw_obs.Log.install (Sw_obs.Log.fork p)
-        | None -> ());
-        let r =
-          try Ok (f input.(i))
-          with e -> Error (e, Printexc.get_raw_backtrace ())
+        let r, child =
+          Sw_obs.Ctx.run_forked ctx (fun () ->
+              try Ok (f input.(i))
+              with e -> Error (e, Printexc.get_raw_backtrace ()))
         in
-        (match (parent_reg, Sw_obs.Metrics.current ()) with
-        | Some _, Some reg ->
-            snaps.(i) <- Some (Sw_obs.Metrics.snapshot reg);
-            Sw_obs.Metrics.uninstall ()
-        | _ -> ());
-        (match (parent_sink, Sw_obs.Span.current ()) with
-        | Some _, Some sink ->
-            lanes.(i) <- Some (lane (), sink);
-            Sw_obs.Span.uninstall ()
-        | _ -> ());
-        (match (parent_log, Sw_obs.Log.current ()) with
-        | Some _, Some l ->
-            logs.(i) <- Some l;
-            Sw_obs.Log.uninstall ()
-        | _ -> ());
-        results.(i) <- Some r
+        results.(i) <- Some (lane (), child, r)
       in
       Mutex.lock t.mutex;
       for i = 0 to n - 1 do
@@ -146,42 +117,22 @@ let map t f xs =
         Condition.wait finished t.mutex
       done;
       Mutex.unlock t.mutex;
-      (* stitch observability, in task order *)
-      (match parent_reg with
-      | Some parent ->
-          Array.iter
-            (function Some s -> Sw_obs.Metrics.absorb parent s | None -> ())
-            snaps
-      | None -> ());
-      (match parent_sink with
-      | Some parent ->
-          Array.iter
-            (function
-              | Some (w, s) ->
-                  Sw_obs.Span.set_thread_name parent ~pid:Sw_obs.Span.host_pid
-                    ~tid:w
-                    (Printf.sprintf "domain %d" w);
-                  Sw_obs.Span.absorb ~into:parent ~tid:w s
-              | None -> ())
-            lanes
-      | None -> ());
-      (match parent_log with
-      | Some parent ->
-          Array.iter
-            (function
-              | Some l -> Sw_obs.Log.absorb ~into:parent l | None -> ())
-            logs
-      | None -> ());
-      (* first failure by input index wins, deterministically *)
+      (* stitch observability in task order; then the first failure by
+         input index wins, deterministically *)
       Array.iter
         (function
-          | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+          | Some (lane, child, _) -> Sw_obs.Ctx.absorb ~into:ctx ~lane child
+          | None -> ())
+        results;
+      Array.iter
+        (function
+          | Some (_, _, Error (e, bt)) -> Printexc.raise_with_backtrace e bt
           | _ -> ())
         results;
       Array.to_list
         (Array.map
            (function
-             | Some (Ok v) -> v
+             | Some (_, _, Ok v) -> v
              | _ -> failwith "Pool.map: task did not complete")
            results)
     end

@@ -12,13 +12,14 @@
     - {b Sequential fidelity}: a pool created with [jobs = 1] spawns no
       domains at all; {!map} is then exactly [List.map], so single-job
       runs execute the very code path they always did.
-    - {b Observability}: when the calling domain has an ambient
-      {!Sw_obs.Metrics} registry (or {!Sw_obs.Span} sink) installed, each
-      task runs under a fresh task-local registry/sink and the per-task
-      snapshots are absorbed into the parent in task order — counters,
-      gauges and histogram counts are deterministic regardless of how the
-      scheduler interleaved the tasks, and every worker domain becomes a
-      named lane of the parent's Chrome trace.
+    - {b Observability}: each task runs under {!Sw_obs.Ctx.run_forked}
+      of the calling domain's context — a fresh registry, span sink and
+      logger for whichever of {!Sw_obs.Metrics}, {!Sw_obs.Span} and
+      {!Sw_obs.Log} the caller has installed — and the children are
+      {!Sw_obs.Ctx.absorb}ed into the parent in task order after the
+      barrier. Counters, gauges, histogram counts and log lines are
+      therefore the same whatever the scheduler's interleaving, and every
+      worker domain becomes a named lane of the parent's Chrome trace.
 
     Workers are work-queue based: tasks are pulled dynamically, so uneven
     job costs balance automatically. Worker exceptions are contained —

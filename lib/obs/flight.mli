@@ -10,7 +10,7 @@
     metrics registry, when one is installed — land in
     [<dir>/flightrec-<ts>.json], written atomically via a temp file.
 
-    Unlike the {!Metrics} registry and the {!Log} buffer, which are
+    Unlike the {!Metrics} registry and the {!Log} logger, which are
     domain-local, the recorder is {e global} (one mutex-protected ring
     per process): trigger sites fire from pool worker domains and the
     forensic record must interleave everything that actually happened.

@@ -1,10 +1,10 @@
 (* Structured JSON-lines event log with a domain-local ambient instance.
 
-   Mirrors Metrics/Span: the ambient logger is per-domain, the host pool
-   forks a fresh logger per task and absorbs the buffers in task order, so
-   the event sequence is deterministic under --jobs. Events that pass the
-   level filter are forwarded to the (global) Flight recorder when one is
-   installed, so flight dumps carry the recent narrative. *)
+   A logger streams each event to its channel as it happens. A fork (the
+   pool's per-task logger) holds its events in a list instead, and the
+   parent absorbs that list in task order, so the line stream is the same
+   under --jobs. Events that pass the level filter are forwarded to the
+   (global) Flight recorder when one is installed. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -23,7 +23,7 @@ let level_of_string = function
   | "error" -> Some Error
   | _ -> None
 
-type field = S of string | I of int | F of float | B of bool
+type field = Span.arg = S of string | I of int | F of float | B of bool
 
 type event = {
   seq : int;
@@ -36,55 +36,18 @@ type event = {
 
 type t = {
   lvl : level;
-  capacity : int;
   clock : unit -> float;
   out : out_channel option;
-  ring : event option array;
-  mutable head : int;  (* next write slot *)
-  mutable nevs : int;  (* live events, <= capacity *)
   mutable seq : int;  (* next sequence number *)
-  mutable drop : int;  (* events overwritten *)
+  mutable held : event list option;  (* a fork's events, newest first *)
 }
 
-let create ?(min_level = Info) ?(capacity = 4096)
-    ?(clock = Unix.gettimeofday) ?out () =
-  if capacity < 1 then invalid_arg "Log.create: capacity must be >= 1";
-  {
-    lvl = min_level;
-    capacity;
-    clock;
-    out;
-    ring = Array.make capacity None;
-    head = 0;
-    nevs = 0;
-    seq = 0;
-    drop = 0;
-  }
+let create ?(min_level = Info) ?(clock = Unix.gettimeofday) ?out () =
+  { lvl = min_level; clock; out; seq = 0; held = None }
 
-let fork t = create ~min_level:t.lvl ~capacity:t.capacity ~clock:t.clock ()
+let fork t = { lvl = t.lvl; clock = t.clock; out = None; seq = 0; held = Some [] }
 
 let level_enabled t level = severity level >= severity t.lvl
-let length t = t.nevs
-let dropped t = t.drop
-
-let events t =
-  let out = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    match t.ring.((t.head + i) mod t.capacity) with
-    | Some e -> out := e :: !out
-    | None -> ()
-  done;
-  !out
-
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let field_json = function
-  | S s -> Json.String s
-  | I i -> Json.Int i
-  | F f -> Json.Float f
-  | B b -> Json.Bool b
 
 let to_json (e : event) =
   Json.Obj
@@ -94,35 +57,24 @@ let to_json (e : event) =
       ("level", Json.String (level_to_string e.level));
       ("scope", Json.String e.scope);
       ("event", Json.String e.name);
-      ( "fields",
-        Json.Obj (List.map (fun (k, v) -> (k, field_json v)) e.fields) );
+      ("fields", Span.json_args e.fields);
     ]
 
 let to_line e = Json.to_string (to_json e)
 
-(* ------------------------------------------------------------------ *)
-(* Appending                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let emit t e =
-  match t.out with
-  | None -> ()
-  | Some oc ->
-      output_string oc (to_line e);
-      output_char oc '\n';
-      flush oc
-
-(* Raw append: buffer + stream, no level filter, no Flight forward.
-   Shared by [event] (which filters and forwards first) and [absorb]
-   (whose events were filtered and forwarded by the child). *)
+(* Raw append: sequence, then hold (a fork) or stream; no level filter,
+   no Flight forward. Shared by [event] (which filters and forwards first)
+   and [absorb] (whose events were filtered and forwarded by the child). *)
 let append t (e : event) =
   let e = { e with seq = t.seq } in
   t.seq <- t.seq + 1;
-  if t.ring.(t.head) <> None then t.drop <- t.drop + 1
-  else t.nevs <- t.nevs + 1;
-  t.ring.(t.head) <- Some e;
-  t.head <- (t.head + 1) mod t.capacity;
-  emit t e
+  match (t.held, t.out) with
+  | Some l, _ -> t.held <- Some (e :: l)
+  | None, None -> ()
+  | None, Some oc ->
+      output_string oc (to_line e);
+      output_char oc '\n';
+      flush oc
 
 let event t level ~scope name fields =
   if level_enabled t level then begin
@@ -131,7 +83,8 @@ let event t level ~scope name fields =
     if Flight.enabled () then Flight.record ~kind:"log" (to_json e)
   end
 
-let absorb ~into child = List.iter (append into) (events child)
+let absorb ~into child =
+  List.iter (append into) (List.rev (Option.value child.held ~default:[]))
 
 (* ------------------------------------------------------------------ *)
 (* Ambient logger                                                       *)

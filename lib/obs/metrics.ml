@@ -71,7 +71,6 @@ let histogram r ?(labels = []) ?(lower = 1e-9) ?(growth = 2.0) ?(buckets = 48)
 
 let incr ?(by = 1) c = c := !c + by
 let set g v = g := v
-let add g v = g := !g +. v
 
 let bucket_index h v =
   if not (v >= h.lower) (* catches nan, negatives, zero, underflow *) then 0
@@ -168,35 +167,25 @@ let snapshot (r : registry) =
     r []
   |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
 
-let combine ~sub a b =
-  (* b - a when sub, else a + b, matched pointwise on b's entries *)
-  let sign = if sub then -1 else 1 in
-  let fsign = float_of_int sign in
+(* after - before, matched pointwise on after's entries *)
+let diff ~before ~after =
   List.filter_map
-    (fun (k, bv) ->
-      match (List.assoc_opt k a, bv) with
-      | None, _ -> Some (k, bv)
-      | Some (Counter ca), Counter cb -> Some (k, Counter ((sign * ca) + cb))
-      | Some (Gauge _), Gauge gb -> Some (k, Gauge gb)
-      | Some (Histogram ha), Histogram hb ->
+    (fun (k, av) ->
+      match (List.assoc_opt k before, av) with
+      | None, _ -> Some (k, av)
+      | Some (Counter cb), Counter ca -> Some (k, Counter (ca - cb))
+      | Some (Histogram hb), Histogram ha ->
           Some
             ( k,
               Histogram
                 {
-                  lower = hb.lower;
-                  growth = hb.growth;
-                  n = (sign * ha.n) + hb.n;
-                  sum = (fsign *. ha.sum) +. hb.sum;
-                  counts =
-                    Array.mapi
-                      (fun i c -> (sign * ha.counts.(i)) + c)
-                      hb.counts;
+                  ha with
+                  n = ha.n - hb.n;
+                  sum = ha.sum -. hb.sum;
+                  counts = Array.mapi (fun i c -> c - hb.counts.(i)) ha.counts;
                 } )
-      | Some _, _ -> Some (k, bv))
-    b
-
-let diff ~before ~after = combine ~sub:true before after
-let merge a b = combine ~sub:false a b
+      | Some _, _ -> Some (k, av))
+    after
 
 (* Add a snapshot's values into a live registry: counters and histogram
    counts/sums accumulate, gauges take the snapshot's value (absorbing

@@ -11,7 +11,7 @@
     Metric identity is (name, sorted label set). Conventions: names are
     dot-separated ([plan_cache.hits_total], [sim.reply_wait_seconds]);
     cumulative counters end in [_total] or name the unit; histograms name
-    their unit ([..._seconds], [..._depth]). The catalogue lives in
+    their unit ([..._seconds]). The catalogue lives in
     DESIGN.md §"Observability". *)
 
 type registry
@@ -48,7 +48,6 @@ val histogram :
 
 val incr : ?by:int -> counter -> unit
 val set : gauge -> float -> unit
-val add : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 (** {2 Ambient registry}
@@ -95,11 +94,6 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 (** Pointwise [after - before] for counters and histogram counts/sums;
     gauges keep the [after] value. Entries absent from [before] pass
     through; entries absent from [after] are dropped. *)
-
-val merge : snapshot -> snapshot -> snapshot
-(** Pointwise sum (gauges keep the second operand's value on conflict);
-    [merge before (diff ~before ~after) = after] for counters and
-    histograms. *)
 
 val absorb : registry -> snapshot -> unit
 (** Add a snapshot's values into a live registry: counters and histogram

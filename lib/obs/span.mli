@@ -24,6 +24,11 @@ val epoch : sink -> float
 (** The instant host timestamps are relative to, in the clock's seconds. *)
 
 type arg = S of string | I of int | F of float | B of bool
+(** Typed span args; {!Log.field} is the same type. *)
+
+val json_args : (string * arg) list -> Json.t
+(** A JSON object of the args — the one mapper that span args and
+    {!Log} fields share. *)
 
 val host_pid : int
 (** pid 1: host wall-clock tracks (the generator). *)

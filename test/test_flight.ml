@@ -43,19 +43,6 @@ let test_flight_ring_bounds =
       && List.map (fun r -> r.Flight.body) (Flight.records t)
          = List.init kept (fun i -> Json.Int (n - kept + i + 1)))
 
-let test_log_ring_bounds =
-  qtest "log: ring keeps the last min(n,capacity) events" ring_inputs
-    (fun (capacity, n) ->
-      let t = Log.create ~capacity ~clock:(fun () -> 0.0) () in
-      for i = 1 to n do
-        Log.event t Log.Info ~scope:"t" "e" [ ("i", Log.I i) ]
-      done;
-      let kept = min n capacity in
-      Log.length t = kept
-      && Log.dropped t = max 0 (n - capacity)
-      && List.map (fun e -> e.Log.fields) (Log.events t)
-         = List.init kept (fun i -> [ ("i", Log.I (n - kept + i + 1)) ]))
-
 (* ------------------------------------------------------------------ *)
 (* JSON lines                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -186,20 +173,27 @@ let test_flightrec_on_error () =
 (* Absorbed log order is invariant under --jobs                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The lines a logger streaming to a file receives while a pool of width
+   [jobs] runs [body] over tasks 0..[tasks]-1. *)
+let pool_log_lines ~jobs ~tasks body =
+  let path = Filename.temp_file "swgemm-log" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  Log.install (Log.create ~clock:(fun () -> 0.0) ~out:oc ());
+  Fun.protect
+    ~finally:(fun () ->
+      Log.uninstall ();
+      close_out oc)
+    (fun () ->
+      Sw_host.Pool.with_pool ~jobs (fun pool ->
+          ignore (Sw_host.Pool.map pool body (List.init tasks Fun.id))));
+  In_channel.with_open_text path In_channel.input_lines
+
 let test_jobs_invariant_log_order () =
   let run jobs =
-    let l = Log.create ~clock:(fun () -> 0.0) () in
-    Log.install l;
-    Fun.protect ~finally:Log.uninstall @@ fun () ->
-    Sw_host.Pool.with_pool ~jobs (fun pool ->
-        ignore
-          (Sw_host.Pool.map pool
-             (fun i ->
-               Log.info ~scope:"task" "start" [ ("i", Log.I i) ];
-               Log.info ~scope:"task" "finish" [ ("i", Log.I i) ];
-               i)
-             [ 0; 1; 2; 3; 4; 5; 6; 7 ]));
-    List.map Log.to_line (Log.events l)
+    pool_log_lines ~jobs ~tasks:8 (fun i ->
+        Log.info ~scope:"task" "start" [ ("i", Log.I i) ];
+        Log.info ~scope:"task" "finish" [ ("i", Log.I i) ])
   in
   let sequential = run 1 in
   check Alcotest.int "events present" 16 (List.length sequential);
@@ -210,10 +204,31 @@ let test_jobs_invariant_log_order () =
     (Alcotest.list Alcotest.string)
     "byte-identical lines for --jobs 3" sequential (run 3)
 
+(* A task may log any number of events: nothing between a worker's logger
+   and the parent's channel is bounded. *)
+let test_jobs_invariant_long_log () =
+  let run jobs =
+    pool_log_lines ~jobs ~tasks:2 (fun i ->
+        for j = 1 to 5_000 do
+          Log.info ~scope:"task" "step" [ ("i", Log.I i); ("j", Log.I j) ]
+        done)
+  in
+  let sequential = run 1 in
+  check Alcotest.int "every event written" 10_000 (List.length sequential);
+  List.iter
+    (fun jobs ->
+      let lines = run jobs in
+      check Alcotest.int
+        (Printf.sprintf "every event written for --jobs %d" jobs)
+        10_000 (List.length lines);
+      check Alcotest.bool
+        (Printf.sprintf "byte-identical lines for --jobs %d" jobs)
+        true (lines = sequential))
+    [ 2; 4 ]
+
 let tests =
   [
     test_flight_ring_bounds;
-    test_log_ring_bounds;
     Alcotest.test_case "log: nan/inf fields render null, stay strict JSON" `Quick
       test_log_line_nan_inf;
     Alcotest.test_case "flight/log: inert when uninstalled" `Quick
@@ -224,4 +239,6 @@ let tests =
       `Quick test_flightrec_on_error;
     Alcotest.test_case "log: absorbed order invariant under --jobs" `Quick
       test_jobs_invariant_log_order;
+    Alcotest.test_case "log: 5000-event tasks write every line under --jobs"
+      `Quick test_jobs_invariant_long_log;
   ]

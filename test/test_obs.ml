@@ -29,7 +29,7 @@ let test_instrument_identity () =
   | _ -> Alcotest.fail "counter not found");
   let g = Metrics.gauge r "g" in
   Metrics.set g 2.5;
-  Metrics.add g 1.0;
+  Metrics.set g 3.5;
   (match Metrics.find (Metrics.snapshot r) "g" with
   | Some (Metrics.Gauge v) -> check (Alcotest.float 0.0) "gauge" 3.5 v
   | _ -> Alcotest.fail "gauge not found");
@@ -92,10 +92,14 @@ let test_snapshot_diff_merge () =
   (match Metrics.find d "h" with
   | Some (Metrics.Histogram { n; _ }) -> check Alcotest.int "hist delta n" 2 n
   | _ -> Alcotest.fail "no histogram in diff");
-  (* round trip: merge before (diff ~before ~after) = after *)
-  check Alcotest.string "merge(before, diff) = after"
+  (* round trip through the pool's merge path: absorbing before, then
+     diff ~before ~after, into an empty registry reproduces after *)
+  let r' = Metrics.create () in
+  Metrics.absorb r' before;
+  Metrics.absorb r' d;
+  check Alcotest.string "absorb before + diff = after"
     (Metrics.to_text after)
-    (Metrics.to_text (Metrics.merge before d))
+    (Metrics.to_text (Metrics.snapshot r'))
 
 let test_ambient_registry () =
   Metrics.incr_a "nobody.listens";  (* no registry installed: no-op *)
