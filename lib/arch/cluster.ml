@@ -9,7 +9,7 @@ type cpe = {
   mutable replies : reply array;
 }
 
-(* The typed completion of a transfer in flight, kept under the id its
+(* The typed completion of a transfer in flight, kept in the slot its
    completion event carries. [buf] is the issuer's SPM buffer (a DMA's
    tile, a broadcast's source). *)
 type completion =
@@ -64,8 +64,13 @@ type t = {
   (* with a trace or metrics: when each CPE's current wait or sync began *)
   observed : bool;
   marks : float array;
-  pending : (int, completion) Hashtbl.t;
-  mutable issued : int;  (* transfers issued so far; the last one's id *)
+  (* in-flight completions by slot: slots below [nslots] are in use
+     unless on the stack of the first [nfree] of [free]; a free slot keeps
+     its last completion until reused *)
+  mutable pending : completion array;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable nslots : int;
 }
 
 let create ?trace ?faults ~config ~mem () =
@@ -118,8 +123,10 @@ let create ?trace ?faults ~config ~mem () =
     m_wait_rma = wait_histogram "rma";
     observed = trace <> None || m_wait_dma <> None;
     marks = Array.make (rows * cols) 0.0;
-    pending = Hashtbl.create 64;
-    issued = 0;
+    pending = [||];
+    free = [||];
+    nfree = 0;
+    nslots = 0;
   }
 
 let engine t = t.engine
@@ -176,11 +183,31 @@ let races t =
 
 let counter reply ~rcopy = reply.parity.(rcopy land 1)
 
-(* Issue a transfer on [ch]; its completion goes under the id returned. *)
+(* Issue a transfer on [ch] under a free completion slot, the most
+   recently freed one first, and return the slot for {!park}. *)
 let issue t ch ~bytes =
-  t.issued <- t.issued + 1;
-  Engine.transfer ?faults:t.faults t.engine ch ~bytes ~event:t.issued;
-  t.issued
+  let slot =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      t.nslots <- t.nslots + 1;
+      t.nslots - 1
+    end
+  in
+  Engine.transfer ?faults:t.faults t.engine ch ~bytes ~event:slot;
+  slot
+
+(* Keep [c] in [slot] until it completes, doubling the slots when [slot]
+   is a fresh one past their end. *)
+let park t slot c =
+  let n = Array.length t.pending in
+  if slot = n then begin
+    t.pending <- Array.append t.pending (Array.make (max 8 n) c);
+    t.free <- Array.append t.free (Array.make (max 8 n) 0)
+  end;
+  t.pending.(slot) <- c
 
 (* Reply increments pass through the fault plan: they can arrive late, be
    re-delivered after a bounded delay (a dropped-then-recovered interrupt),
@@ -206,10 +233,11 @@ let maybe_flip t ~buf ~copy ~elems =
       | None -> ())
   | Some _ | None -> ()
 
-let complete t id =
+let complete t slot =
   let finish = Engine.now t.engine in
-  let completion = Hashtbl.find t.pending id in
-  Hashtbl.remove t.pending id;
+  let completion = t.pending.(slot) in
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
   match completion with
   | Dma r ->
       (* bounds-check the rectangle of main memory in either mode, and move
@@ -253,9 +281,9 @@ let dma t c (d : Sw_tree.Comm.dma) ~put ~array ~batch ~row_lo ~col_lo ~buf ~copy
   Engine.counter_reset (counter reply ~rcopy);
   t.reply_rma.(reply.slot) <- false;
   let bytes = 8 * d.Sw_tree.Comm.rows * d.Sw_tree.Comm.cols in
-  let id = issue t t.dma ~bytes in
+  let slot = issue t t.dma ~bytes in
   let start = t.dma.Engine.start in
-  Hashtbl.replace t.pending id
+  park t slot
     (Dma
        { d; put; issuer = c; buf; copy; reply; rcopy; array; batch; row_lo; col_lo;
          start });
@@ -281,9 +309,9 @@ let rma_bcast t c (r : Sw_tree.Comm.rma) ~src ~src_copy ~dst ~dst_copy ~root
     let peers = if row then t.cpes.(c.rid) else t.columns.(c.cid) in
     let link = if row then t.row_links.(c.rid) else t.col_links.(c.cid) in
     let bytes = 8 * rows * cols in
-    let id = issue t link ~bytes in
+    let slot = issue t link ~bytes in
     let start = link.Engine.start in
-    Hashtbl.replace t.pending id
+    park t slot
       (Bcast
          { issuer = c; buf = src; copy = src_copy; reply_s; rcopy; peers; dst; dst_copy;
            elems = rows * cols; recv = reply_r.slot; start });

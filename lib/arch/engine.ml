@@ -21,10 +21,11 @@ type fiber = {
    nothing. *)
 type clock = { mutable now : float }
 
-(* The queue is a binary min-heap on (time, seq), one array per key. An
-   event's tag holds its kind in the low two bits (0: resume a fiber, 1: a
-   fiber's deadline, 2: increment a counter, 3: a client event) and its
-   argument above them. *)
+(* The queue is a binary min-heap on (time, seq), one array per key, and
+   beside it a FIFO ring of the events due at the current instant, in seq
+   order: those cost no sift. An event's tag holds its kind in the low two
+   bits (0: resume a fiber, 1: a fiber's deadline, 2: increment a counter,
+   3: a client event) and its argument above them. *)
 type t = {
   clock : clock;
   mutable seq : int;
@@ -32,6 +33,10 @@ type t = {
   mutable seqs : int array;
   mutable tags : int array;
   mutable size : int;
+  mutable ring_seqs : int array;
+  mutable ring_tags : int array;
+  mutable ring_head : int;
+  mutable ring_len : int;
   mutable fibers : fiber array;
   mutable nfibers : int;
   mutable counters : counter array;  (* registry, by id *)
@@ -42,7 +47,9 @@ type t = {
   m_events : Sw_obs.Metrics.counter option;
 }
 
-(* [waiters] holds the first [nwaiters] parked fibers in park order. *)
+(* [waiters] holds the first [nwaiters] parked fibers in park order;
+   [low] is the smallest target among them ([max_int] for none), below
+   which an increment wakes nobody. *)
 and counter = {
   eng : t;
   id : int;
@@ -50,6 +57,7 @@ and counter = {
   mutable value : int;
   mutable waiters : int array;
   mutable nwaiters : int;
+  mutable low : int;
 }
 
 let create () =
@@ -60,6 +68,10 @@ let create () =
     seqs = [||];
     tags = [||];
     size = 0;
+    ring_seqs = [||];
+    ring_tags = [||];
+    ring_head = 0;
+    ring_len = 0;
     fibers = [||];
     nfibers = 0;
     counters = [||];
@@ -89,11 +101,26 @@ let[@inline] move t ~src ~dst =
 let invalid fmt =
   Printf.ksprintf (fun s -> raise (Error.Sim_error (Error.Invalid s))) fmt
 
+(* Append to the ring, whose capacity is a power of two, unrolling it into
+   arrays twice the size when it is full. *)
+let ring_push t tag =
+  let cap = Array.length t.ring_seqs in
+  if t.ring_len = cap then begin
+    let grow a =
+      Array.init (max 8 (2 * cap)) (fun i ->
+          if i < cap then a.((t.ring_head + i) land (cap - 1)) else 0)
+    in
+    t.ring_seqs <- grow t.ring_seqs;
+    t.ring_tags <- grow t.ring_tags;
+    t.ring_head <- 0
+  end;
+  let i = (t.ring_head + t.ring_len) land (Array.length t.ring_seqs - 1) in
+  t.ring_seqs.(i) <- t.seq;
+  t.ring_tags.(i) <- tag;
+  t.ring_len <- t.ring_len + 1
+
 (* Inlined at every call, so the event's time stays an unboxed float. *)
-let[@inline] push t at tag =
-  if at < t.clock.now then
-    invalid "Engine: scheduling into the past (%.6g < %.6g)" at t.clock.now;
-  t.seq <- t.seq + 1;
+let[@inline] heap_push t at tag =
   if t.size = Array.length t.times then begin
     t.times <- set_grow t.times t.size at;
     t.seqs <- set_grow t.seqs t.size 0;
@@ -115,6 +142,14 @@ let[@inline] push t at tag =
   t.seqs.(!i) <- t.seq;
   t.tags.(!i) <- tag;
   t.size <- t.size + 1
+
+(* An event due now goes to the ring: every queued event is due at or
+   after now, so the ring's events stay due at the clock until they run. *)
+let[@inline] push t at tag =
+  if at < t.clock.now then
+    invalid "Engine: scheduling into the past (%.6g < %.6g)" at t.clock.now;
+  t.seq <- t.seq + 1;
+  if at = t.clock.now then ring_push t tag else heap_push t at tag
 
 let[@inline] before t i j =
   t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
@@ -143,7 +178,7 @@ let pop t =
 let spawn ?label t =
   let fid = t.nfibers in
   let label =
-    match label with Some l -> l | None -> Printf.sprintf "fiber-%d" t.seq
+    match label with Some l -> l | None -> Printf.sprintf "fiber-%d" fid
   in
   let f = { label; counter = -1; target = 0; parked_at = 0.0; deadline = -1 } in
   t.fibers <- set_grow t.fibers fid f;
@@ -159,22 +194,28 @@ let new_counter ?name t =
   let cname =
     match name with Some n -> n | None -> Printf.sprintf "counter-%d" id
   in
-  let c = { eng = t; id; cname; value = 0; waiters = [||]; nwaiters = 0 } in
+  let c =
+    { eng = t; id; cname; value = 0; waiters = [||]; nwaiters = 0; low = max_int }
+  in
   t.counters <- set_grow t.counters id c;
   t.ncounters <- id + 1;
   c
 
-(* Keep, in order, the waiters other than [drop] still short of [value]. *)
+(* Keep, in order, the waiters other than [drop] still short of [value],
+   and their smallest target. *)
 let filter_waiters t c ~drop ~value =
-  let j = ref 0 in
+  let j = ref 0 and low = ref max_int in
   for i = 0 to c.nwaiters - 1 do
     let fid = c.waiters.(i) in
-    if fid <> drop && value < t.fibers.(fid).target then begin
+    let target = t.fibers.(fid).target in
+    if fid <> drop && value < target then begin
       c.waiters.(!j) <- fid;
-      incr j
+      incr j;
+      if target < !low then low := target
     end
   done;
-  c.nwaiters <- !j
+  c.nwaiters <- !j;
+  c.low <- !low
 
 let await ?timeout t fid c n =
   let f = t.fibers.(fid) in
@@ -186,6 +227,7 @@ let await ?timeout t fid c n =
        f.parked_at <- t.clock.now;
        c.waiters <- set_grow c.waiters c.nwaiters fid;
        c.nwaiters <- c.nwaiters + 1;
+       if n < c.low then c.low <- n;
        (match timeout with
        | None -> ()
        | Some timeout ->
@@ -212,18 +254,21 @@ let counter_reset c =
   c.value <- 0
 
 (* Wake every satisfied waiter, newest first, and keep the rest in park
-   order. *)
+   order. Below the lowest target nobody is satisfied: a barrier's
+   arrivals before the last cost no scan. *)
 let counter_incr c =
   c.value <- c.value + 1;
   let t = c.eng and v = c.value in
-  for i = c.nwaiters - 1 downto 0 do
-    let f = t.fibers.(c.waiters.(i)) in
-    if v >= f.target then begin
-      f.deadline <- -1;
-      push t t.clock.now (c.waiters.(i) lsl 2)
-    end
-  done;
-  if c.nwaiters > 0 then filter_waiters t c ~drop:(-1) ~value:v
+  if v >= c.low then begin
+    for i = c.nwaiters - 1 downto 0 do
+      let f = t.fibers.(c.waiters.(i)) in
+      if v >= f.target then begin
+        f.deadline <- -1;
+        push t t.clock.now (c.waiters.(i) lsl 2)
+      end
+    done;
+    filter_waiters t c ~drop:(-1) ~value:v
+  end
 
 let incr_after t c ~after = push t (t.clock.now +. after) ((c.id lsl 2) lor 2)
 
@@ -304,10 +349,24 @@ let check_watchdog t ~host_start =
 let run t ~resume ~event =
   let host_start = Sys.time () and events_at_entry = t.events_run in
   let guarded = t.watchdog <> no_watchdog in
-  while t.size > 0 do
-    let at = t.times.(0) and seq = t.seqs.(0) and tag = t.tags.(0) in
-    pop t;
-    t.clock.now <- at;
+  while t.size > 0 || t.ring_len > 0 do
+    (* the ring's head is due now, so it goes first unless the heap's root
+       is due now too and was queued earlier *)
+    let h = t.ring_head in
+    let from_ring =
+      t.ring_len > 0
+      && (t.size = 0 || t.times.(0) > t.clock.now || t.seqs.(0) > t.ring_seqs.(h))
+    in
+    let seq = if from_ring then t.ring_seqs.(h) else t.seqs.(0)
+    and tag = if from_ring then t.ring_tags.(h) else t.tags.(0) in
+    if from_ring then begin
+      t.ring_head <- (h + 1) land (Array.length t.ring_seqs - 1);
+      t.ring_len <- t.ring_len - 1
+    end
+    else begin
+      t.clock.now <- t.times.(0);
+      pop t
+    end;
     t.events_run <- t.events_run + 1;
     if guarded then check_watchdog t ~host_start;
     let arg = tag lsr 2 in

@@ -10,11 +10,12 @@
     transfers, each completing in an event for the client's [event].
 
     The queue is a binary heap over flat arrays of times, seqs and tags (a
-    tag names the event's kind and argument), so queuing and running an
-    event allocate nothing. Events fire in (time, creation sequence)
-    order, so simulations are exactly reproducible — including under fault
-    injection, whose decisions are drawn in event order from the plan's
-    seeded PRNG.
+    tag names the event's kind and argument), beside a FIFO ring of the
+    events due at the current instant, so queuing and running an event
+    allocate nothing and a same-instant wake-up costs no sift. Events fire
+    in (time, creation sequence) order, so simulations are exactly
+    reproducible — including under fault injection, whose decisions are
+    drawn in event order from the plan's seeded PRNG.
 
     Failures are typed ({!Error.Sim_error}): a {!Error.Deadlock} names
     every fiber still parked when the queue drains, its counter, current
@@ -54,7 +55,7 @@ val set_watchdog : t -> watchdog -> unit
 val spawn : ?label:string -> t -> int
 (** Register a fiber, due at the current time, and return its id (ids
     count up from 0). [label] names it in deadlock diagnoses (e.g.
-    ["CPE(2,3)"]). *)
+    ["CPE(2,3)"]); it defaults to ["fiber-<id>"]. *)
 
 val delay : t -> int -> float -> bool
 (** [delay t f d] suspends fiber [f] for [d] seconds; [false] (nothing

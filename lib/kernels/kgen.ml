@@ -13,7 +13,7 @@ type t = {
   mr : int;
   nrv : int;
   nregs : int;
-  body : instr array;
+  body : instr array Lazy.t;
 }
 
 (* Choose the register blocking: maximize the FMA / memory-op ratio
@@ -39,73 +39,80 @@ let choose_blocking ~nregs ~m ~nv =
   | Some (_, _, mr, nrv) -> (mr, nrv)
   | None -> (1, 1)
 
+(* The fully unrolled kernel: for each [mr x nrv] register block, load
+   its C block, then per reduction step load the B vectors and broadcast
+   each A element into its FMAs, then store the block back. *)
+let unroll ~lanes ~m ~n ~k ~mr ~nrv =
+  let nv = n / lanes in
+  let acc ii jj = (ii * nrv) + jj in
+  let breg jj = (mr * nrv) + jj in
+  let areg = (mr * nrv) + nrv in
+  let body = ref [] in
+  let emit i = body := i :: !body in
+  let i0 = ref 0 in
+  while !i0 < m do
+    let bm = min mr (m - !i0) in
+    let j0 = ref 0 in
+    while !j0 < nv do
+      let bn = min nrv (nv - !j0) in
+      (* load the C register block *)
+      for ii = 0 to bm - 1 do
+        for jj = 0 to bn - 1 do
+          emit
+            (Ldc
+               { dst = acc ii jj; off = ((!i0 + ii) * n) + ((!j0 + jj) * lanes) })
+        done
+      done;
+      (* reduction *)
+      for p = 0 to k - 1 do
+        for jj = 0 to bn - 1 do
+          emit (Ldb { dst = breg jj; off = (p * n) + ((!j0 + jj) * lanes) })
+        done;
+        for ii = 0 to bm - 1 do
+          emit (Lda_bcast { dst = areg; off = ((!i0 + ii) * k) + p });
+          for jj = 0 to bn - 1 do
+            emit (Fma { acc = acc ii jj; a = areg; b = breg jj })
+          done
+        done
+      done;
+      (* store back *)
+      for ii = 0 to bm - 1 do
+        for jj = 0 to bn - 1 do
+          emit
+            (Stc
+               { src = acc ii jj; off = ((!i0 + ii) * n) + ((!j0 + jj) * lanes) })
+        done
+      done;
+      j0 := !j0 + bn
+    done;
+    i0 := !i0 + bm
+  done;
+  Array.of_list (List.rev !body)
+
 let generate ?(lanes = 8) ?(nregs = 32) ~m ~n ~k () =
   if m <= 0 || n <= 0 || k <= 0 then Error "non-positive dimension"
   else if n mod lanes <> 0 then
     Error (Printf.sprintf "n = %d is not a multiple of the vector width %d" n lanes)
   else if nregs < 3 then Error "at least three vector registers are needed"
-  else begin
-    let nv = n / lanes in
-    let mr, nrv = choose_blocking ~nregs ~m ~nv in
-    let acc ii jj = (ii * nrv) + jj in
-    let breg jj = (mr * nrv) + jj in
-    let areg = (mr * nrv) + nrv in
-    let body = ref [] in
-    let emit i = body := i :: !body in
-    let i0 = ref 0 in
-    while !i0 < m do
-      let bm = min mr (m - !i0) in
-      let j0 = ref 0 in
-      while !j0 < nv do
-        let bn = min nrv (nv - !j0) in
-        (* load the C register block *)
-        for ii = 0 to bm - 1 do
-          for jj = 0 to bn - 1 do
-            emit
-              (Ldc
-                 {
-                   dst = acc ii jj;
-                   off = ((!i0 + ii) * n) + ((!j0 + jj) * lanes);
-                 })
-          done
-        done;
-        (* reduction *)
-        for p = 0 to k - 1 do
-          for jj = 0 to bn - 1 do
-            emit (Ldb { dst = breg jj; off = (p * n) + ((!j0 + jj) * lanes) })
-          done;
-          for ii = 0 to bm - 1 do
-            emit (Lda_bcast { dst = areg; off = ((!i0 + ii) * k) + p });
-            for jj = 0 to bn - 1 do
-              emit (Fma { acc = acc ii jj; a = areg; b = breg jj })
-            done
-          done
-        done;
-        (* store back *)
-        for ii = 0 to bm - 1 do
-          for jj = 0 to bn - 1 do
-            emit
-              (Stc
-                 {
-                   src = acc ii jj;
-                   off = ((!i0 + ii) * n) + ((!j0 + jj) * lanes);
-                 })
-          done
-        done;
-        j0 := !j0 + bn
-      done;
-      i0 := !i0 + bm
-    done;
-    Ok { m; n; k; lanes; mr; nrv; nregs; body = Array.of_list (List.rev !body) }
-  end
+  else
+    let mr, nrv = choose_blocking ~nregs ~m ~nv:(n / lanes) in
+    Ok
+      {
+        m; n; k; lanes; mr; nrv; nregs;
+        body = lazy (unroll ~lanes ~m ~n ~k ~mr ~nrv);
+      }
 
+(* Register blocks down the rows and across the vector columns. *)
+let blocks t =
+  ((t.m + t.mr - 1) / t.mr, ((t.n / t.lanes) + t.nrv - 1) / t.nrv)
+
+(* What the unrolled body holds, in closed form: each register block loads
+   and stores its C block once and, per reduction step, loads its B
+   vectors and one A broadcast per row. *)
 let counts t =
-  Array.fold_left
-    (fun (fma, mem) i ->
-      match i with
-      | Fma _ -> (fma + 1, mem)
-      | Ldc _ | Stc _ | Lda_bcast _ | Ldb _ -> (fma, mem + 1))
-    (0, 0) t.body
+  let nv = t.n / t.lanes and row_blocks, col_blocks = blocks t in
+  ( t.m * nv * t.k,
+    (2 * t.m * nv) + (t.k * ((row_blocks * nv) + (col_blocks * t.m))) )
 
 let register_pressure t =
   Array.fold_left
@@ -115,7 +122,7 @@ let register_pressure t =
           max hi (r + 1)
       | Stc { src = r; _ } -> max hi (r + 1)
       | Fma { acc; a; b } -> max hi (max (acc + 1) (max (a + 1) (b + 1))))
-    0 t.body
+    0 (Lazy.force t.body)
 
 let validate t =
   if register_pressure t > t.nregs then
@@ -139,7 +146,7 @@ let validate t =
             read acc;
             read a;
             read b)
-      t.body;
+      (Lazy.force t.body);
     !ok
   end
 
@@ -161,15 +168,14 @@ let run t ~alpha ~accumulate ~a ~b ~c =
           for l = 0 to t.lanes - 1 do
             vc.(l) <- vc.(l) +. (va.(l) *. vb.(l))
           done)
-    t.body
+    (Lazy.force t.body)
 
 let estimated_cycles t =
   let fma, mem = counts t in
   (* dual issue: one FMA pipe, one load/store pipe; the C block epilogue and
      per-block loop control are exposed *)
-  let nblocks =
-    ((t.m + t.mr - 1) / t.mr) * (((t.n / t.lanes) + t.nrv - 1) / t.nrv)
-  in
+  let row_blocks, col_blocks = blocks t in
+  let nblocks = row_blocks * col_blocks in
   float_of_int (max fma mem) +. (16.0 *. float_of_int nblocks) +. 48.0
 
 let estimated_efficiency t =

@@ -35,7 +35,9 @@ type t = {
   mr : int;  (** register-block rows *)
   nrv : int;  (** register-block columns, in vectors *)
   nregs : int;  (** register budget *)
-  body : instr array;  (** the fully unrolled kernel *)
+  body : instr array Lazy.t;
+      (** the fully unrolled kernel, built when {!run}, {!validate} or
+          {!register_pressure} first interprets it *)
 }
 
 val generate :
@@ -45,7 +47,10 @@ val generate :
     of the vector width or a dimension is non-positive. *)
 
 val counts : t -> int * int
-(** [(fma, memory)] instruction counts. *)
+(** [(fma, memory)] instruction counts of the unrolled body, in closed
+    form from the register blocking (the body is not built):
+    [fma = m*nv*k] and [memory = 2*m*nv + k*(ceil(m/mr)*nv +
+    ceil(nv/nrv)*m)], with [nv = n / lanes]. *)
 
 val register_pressure : t -> int
 (** Highest register index used plus one; always within the budget. *)
@@ -63,4 +68,5 @@ val estimated_efficiency : t -> float
 (** [2*m*n*k / (cycles * flops_per_cycle)] with [flops_per_cycle = 2 *
     lanes]: the fraction of SIMD peak. [cycles] is a dual-issue in-order
     model: per cycle, one FMA and one memory/broadcast operation can
-    retire; the C tile's loads/stores and the loop ramp are exposed. *)
+    retire; the C tile's loads/stores and the loop ramp are exposed.
+    Computed from {!counts}, so pricing a kernel never builds its body. *)

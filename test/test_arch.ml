@@ -102,6 +102,18 @@ let test_deadlock_diagnosis_shape () =
         (Helpers.contains msg "reply_A[0]")
   | _ -> Alcotest.fail "expected typed deadlock"
 
+let test_deadlock_default_labels () =
+  (* an unlabeled fiber is named by its id, whatever was queued before it
+     was spawned *)
+  let eng = Engine.create () in
+  let c = Engine.new_counter eng in
+  Engine.incr_after eng c ~after:5.0;
+  match run_scripts eng (List.init 2 (fun _ -> [ (fun f -> Engine.await eng f c 2) ])) with
+  | exception Error.Sim_error (Error.Deadlock d) ->
+      check Alcotest.(list string) "labels" [ "fiber-0"; "fiber-1" ]
+        (List.map (fun (b : Error.blocked) -> b.Error.fiber) d.Error.fibers)
+  | _ -> Alcotest.fail "expected typed deadlock"
+
 let test_barrier () =
   let eng = Engine.create () in
   let b = Engine.new_barrier eng ~parties:3 in
@@ -552,6 +564,7 @@ let tests =
     ("counter wakeup", `Quick, test_counter_wakeup);
     ("deadlock detection", `Quick, test_deadlock_detection);
     ("deadlock diagnosis shape", `Quick, test_deadlock_diagnosis_shape);
+    ("deadlock names unlabeled fibers by id", `Quick, test_deadlock_default_labels);
     ("barrier rounds", `Quick, test_barrier);
     ("channel serialization", `Quick, test_channel_serialization);
     ("mem offsets and init", `Quick, test_mem_offsets);
@@ -718,6 +731,129 @@ let prop_engine_determinism =
       in
       run () = run ())
 
+(* The engine against a list-based reference model of its (time, seq)
+   order. Scripted fibers make ties on purpose: delays of 0, d or 2d, and
+   counter awaits, increments, a barrier and zero-byte transfers on a
+   zero-latency channel, all of which wake someone at the current instant.
+   A transfer's completion increments a counter. *)
+type op = Delay of float | Incr of int | Await of int * int | Barrier | Send
+
+(* A run is its resumes and client events in the order they ran, and
+   whether it ended with fibers still parked. *)
+type ran = Resumed of int * float | Completed of int * float
+
+let model_order ~ncounters ~parties scripts =
+  let now = ref 0.0 and seq = ref 0 and queue = ref [] and log = ref [] in
+  (* the barrier is counter [ncounters] *)
+  let values = Array.make (ncounters + 1) 0 in
+  let waiters = Array.make (ncounters + 1) [] (* park order: (fiber, target) *) in
+  let push at ev =
+    incr seq;
+    queue := (at, !seq, ev) :: !queue
+  in
+  let incr_counter c =
+    values.(c) <- values.(c) + 1;
+    let woken, kept = List.partition (fun (_, n) -> values.(c) >= n) waiters.(c) in
+    List.iter (fun (f, _) -> push !now (`Resume f)) (List.rev woken);
+    waiters.(c) <- kept
+  in
+  let left = Array.of_list scripts in
+  (* run fiber [f] until it suspends or ends *)
+  let rec step f =
+    match left.(f) with
+    | [] -> ()
+    | op :: rest -> (
+        left.(f) <- rest;
+        let await c n =
+          if values.(c) >= n then step f else waiters.(c) <- waiters.(c) @ [ (f, n) ]
+        in
+        match op with
+        | Delay d -> if d > 0.0 then push (!now +. d) (`Resume f) else step f
+        | Incr c ->
+            incr_counter c;
+            step f
+        | Await (c, n) -> await c n
+        | Barrier ->
+            let round = (values.(ncounters) / parties) + 1 in
+            incr_counter ncounters;
+            await ncounters (round * parties)
+        | Send ->
+            push !now (`Complete f);
+            step f)
+  in
+  List.iteri (fun f _ -> push 0.0 (`Resume f)) scripts;
+  while !queue <> [] do
+    let at, sq, ev =
+      List.fold_left
+        (fun ((a, s, _) as best) ((a', s', _) as e) ->
+          if a' < a || (a' = a && s' < s) then e else best)
+        (List.hd !queue) !queue
+    in
+    queue := List.filter (fun (_, s, _) -> s <> sq) !queue;
+    now := at;
+    match ev with
+    | `Resume f ->
+        log := Resumed (f, at) :: !log;
+        step f
+    | `Complete f ->
+        log := Completed (f, at) :: !log;
+        incr_counter (f mod ncounters)
+  done;
+  (List.rev !log, Array.exists (fun w -> w <> []) waiters)
+
+let engine_order ~ncounters ~parties scripts =
+  let eng = Engine.create () in
+  let counters = Array.init ncounters (fun _ -> Engine.new_counter eng) in
+  let b = Engine.new_barrier eng ~parties in
+  let ch = Engine.new_channel ~bw_bytes_per_s:1e9 ~latency_s:0.0 in
+  let log = ref [] in
+  let steps =
+    List.map
+      (List.map (function
+        | Delay d -> fun f -> Engine.delay eng f d
+        | Incr c -> now_do (fun () -> Engine.counter_incr counters.(c))
+        | Await (c, n) -> fun f -> Engine.await eng f counters.(c) n
+        | Barrier -> fun f -> Engine.barrier_wait eng f b
+        | Send -> fun f -> Engine.transfer eng ch ~bytes:0 ~event:f; false))
+      scripts
+  in
+  List.iter (fun _ -> ignore (Engine.spawn eng)) scripts;
+  let scripted = Helpers.scripted (Array.of_list steps) in
+  let resume f =
+    log := Resumed (f, Engine.now eng) :: !log;
+    scripted f
+  and event f =
+    log := Completed (f, Engine.now eng) :: !log;
+    Engine.counter_incr counters.(f mod ncounters)
+  in
+  let deadlocked =
+    match Engine.run eng ~resume ~event with
+    | _ -> false
+    | exception Error.Sim_error (Error.Deadlock _) -> true
+  in
+  (List.rev !log, deadlocked)
+
+let prop_engine_order_matches_model =
+  qtest ~count:300 "engine order equals the (time, seq) reference model"
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nfibers = 2 + Random.State.int rng 5 and ncounters = 2 in
+      let d = 0.5 in
+      let op () =
+        match Random.State.int rng 6 with
+        | 0 -> Delay (float_of_int (Random.State.int rng 3) *. d)
+        | 1 -> Incr (Random.State.int rng ncounters)
+        | 2 -> Await (Random.State.int rng ncounters, 1 + Random.State.int rng 4)
+        | 3 -> Barrier
+        | _ -> Send
+      in
+      let scripts =
+        List.init nfibers (fun _ -> List.init (1 + Random.State.int rng 10) (fun _ -> op ()))
+      in
+      let parties = 1 + Random.State.int rng nfibers in
+      engine_order ~ncounters ~parties scripts = model_order ~ncounters ~parties scripts)
+
 let engine_edge_tests =
   [
     ("schedule into the past", `Quick, test_schedule_into_past);
@@ -730,6 +866,7 @@ let engine_edge_tests =
     ("watchdog simulated-time budget", `Quick, test_watchdog_sim_time);
     ("thousands of fibers", `Quick, test_many_fibers_scale);
     prop_engine_determinism;
+    prop_engine_order_matches_model;
   ]
 
 let tests = tests @ engine_edge_tests

@@ -180,12 +180,82 @@ let prop_kgen_budget =
       | Error _ -> true
       | Ok t -> Kgen.register_pressure t <= nregs && Kgen.validate t = Ok ())
 
+(* The cost model folded from the unrolled body: its instruction mix, and
+   its register blocks, each of which opens with a run of C loads. *)
+let folded_counts (t : Kgen.t) =
+  let fma = ref 0 and mem = ref 0 and blocks = ref 0 and prev_ldc = ref false in
+  Array.iter
+    (fun i ->
+      (match i with Kgen.Fma _ -> incr fma | _ -> incr mem);
+      let ldc = match i with Kgen.Ldc _ -> true | _ -> false in
+      if ldc && not !prev_ldc then incr blocks;
+      prev_ldc := ldc)
+    (Lazy.force t.Kgen.body);
+  (!fma, !mem, !blocks)
+
+let folded_efficiency (t : Kgen.t) =
+  let fma, mem, blocks = folded_counts t in
+  let cycles =
+    float_of_int (max fma mem) +. (16.0 *. float_of_int blocks) +. 48.0
+  in
+  float_of_int (2 * t.Kgen.m * t.Kgen.n * t.Kgen.k)
+  /. (cycles *. float_of_int (2 * t.Kgen.lanes))
+
+(* [None] when the closed forms agree bit for bit with the body. *)
+let closed_form_mismatch ~lanes ~nregs ~m ~n ~k =
+  match Kgen.generate ~lanes ~nregs ~m ~n ~k () with
+  | Error e -> Some e
+  | Ok t ->
+      let fma, mem, _ = folded_counts t in
+      let eff = Kgen.estimated_efficiency t and folded = folded_efficiency t in
+      if Kgen.counts t <> (fma, mem) then
+        let cf, cm = Kgen.counts t in
+        Some (Printf.sprintf "counts (%d, %d), body (%d, %d)" cf cm fma mem)
+      else if Int64.bits_of_float eff <> Int64.bits_of_float folded then
+        Some (Printf.sprintf "efficiency %h, body %h" eff folded)
+      else None
+
+let prop_kgen_closed_form =
+  qtest ~count:60 "closed-form counts and efficiency match the body"
+    QCheck.(
+      pair
+        (quad (oneofl [ 1; 2; 4; 8 ]) (int_range 3 40) (int_range 1 256)
+           (int_range 1 256))
+        (int_range 1 8))
+    (fun ((lanes, nregs, m, k), nv) ->
+      match closed_form_mismatch ~lanes ~nregs ~m ~n:(lanes * nv) ~k with
+      | None -> true
+      | Some e -> QCheck.Test.fail_report e)
+
+(* The micro-kernel shapes the tuner prices on sw26010pro, at the widest
+   vector that divides their n, as the tuner does. *)
+let test_kgen_closed_form_tuner_shapes () =
+  let spec = Sw_core.Spec.make ~m:2048 ~n:2048 ~k:2048 () in
+  let shapes =
+    List.sort_uniq compare
+      (List.map
+         (fun (c : Sw_tune.Space.candidate) -> c.Sw_tune.Space.mk)
+         (Sw_tune.Space.enumerate ~config:Sw_arch.Config.sw26010pro ~spec))
+  in
+  check Alcotest.int "tuner shapes" 13 (List.length shapes);
+  List.iter
+    (fun (m, n, k) ->
+      let lanes = List.find (fun l -> n mod l = 0) [ 8; 4; 2; 1 ] in
+      match closed_form_mismatch ~lanes ~nregs:32 ~m ~n ~k with
+      | None -> ()
+      | Some e -> Alcotest.failf "%dx%dx%d, %d lanes: %s" m n k lanes e)
+    shapes
+
 let kgen_tests =
   [
     ("kgen vendor shape (64x64x32)", `Quick, test_kgen_vendor_shape);
     ("kgen rejects bad shapes", `Quick, test_kgen_rejects);
     prop_kgen_matches_reference;
     prop_kgen_budget;
+    prop_kgen_closed_form;
+    ( "kgen closed form on the sw26010pro tuner shapes",
+      `Quick,
+      test_kgen_closed_form_tuner_shapes );
   ]
 
 let tests = tests @ kgen_tests

@@ -65,6 +65,23 @@ let test_space_contains_default () =
     Alcotest.(list string)
     "sorted and duplicate-free" (List.sort_uniq compare keys) keys
 
+let test_realize_prices_without_unrolling () =
+  (* realizing the whole sw26010pro space of a 2048^3 GEMM prices each
+     generated kernel from its register blocking: building the unrolled
+     bodies took 13.8 M minor words *)
+  let config = Config.sw26010pro and spec = Spec.make ~m:2048 ~n:2048 ~k:2048 () in
+  let cands = Space.enumerate ~config ~spec in
+  let before = Gc.minor_words () in
+  let realized =
+    List.filter (fun c -> Result.is_ok (Space.realize ~config ~spec c)) cands
+  in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "candidates" 117 (List.length cands);
+  Alcotest.(check bool) "some realize" true (realized <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words under 1 M" words)
+    true (words < 1e6)
+
 let test_space_fusion_facet () =
   let fused =
     Spec.make ~m:32 ~n:32 ~k:32 ~fusion:(Spec.Epilogue "relu") ()
@@ -381,6 +398,8 @@ let tests =
       test_space_contains_default;
     Alcotest.test_case "space: fusion facet only for fused specs" `Quick
       test_space_fusion_facet;
+    Alcotest.test_case "space: realize prices kernels without unrolling" `Quick
+      test_realize_prices_without_unrolling;
     Alcotest.test_case "search is --jobs invariant (winner, trail, DB)" `Slow
       test_jobs_invariance;
     Alcotest.test_case "analytic pruning is sound (exhaustive space)" `Slow
