@@ -351,17 +351,21 @@ let sync_settle t c = Engine.delay t.engine c.fid t.config.Config.sync_latency_s
 let sync_done t c =
   trace t c Trace.Barrier ~start:t.marks.(c.fid) ~finish:(Engine.now t.engine)
 
-let kernel t c (kern : Sw_tree.Comm.kernel) ~c:cb ~c_copy ~a ~a_copy ~b ~b_copy =
-  let { Sw_tree.Comm.m; n; k; alpha; accumulate; ta; tb; style; _ } = kern in
+let kernel_seconds t (kern : Sw_tree.Comm.kernel) =
+  let { Sw_tree.Comm.m; n; k; style; _ } = kern in
   let style = match style with Sw_tree.Comm.Asm -> `Asm | Sw_tree.Comm.Naive -> `Naive in
-  let dur = Config.micro_kernel_seconds t.config ~style ~m ~n ~k in
+  Config.micro_kernel_seconds t.config ~style ~m ~n ~k
+
+let kernel t c (kern : Sw_tree.Comm.kernel) ~seconds ~c:cb ~c_copy ~a ~a_copy ~b
+    ~b_copy =
+  let { Sw_tree.Comm.m; n; k; alpha; accumulate; ta; tb; _ } = kern in
   (* straggler CPEs run their compute slower (thermal throttling / a busy
      neighbour on the real mesh); membership is a pure function of the fault
      seed and the CPE coordinates, so it is program-independent *)
   let dur =
     match t.faults with
-    | None -> dur
-    | Some f -> dur *. Fault.kernel_slowdown f ~rid:c.rid ~cid:c.cid
+    | None -> seconds
+    | Some f -> seconds *. Fault.kernel_slowdown f ~rid:c.rid ~cid:c.cid
   in
   let start = Engine.now t.engine in
   let finish = start +. dur in
@@ -380,12 +384,12 @@ let kernel t c (kern : Sw_tree.Comm.kernel) ~c:cb ~c_copy ~a ~a_copy ~b ~b_copy 
   trace t c Trace.Kernel ~start ~finish;
   Engine.delay t.engine c.fid dur
 
-let spm_map t c ~buf ~copy ~rows ~cols ~fn =
+let spm_map_seconds t ~rows ~cols =
+  float_of_int (rows * cols) *. t.config.Config.ew_cpe_cycles_per_elem
+  /. t.config.Config.cpe_freq_hz
+
+let spm_map t c ~seconds:dur ~buf ~copy ~rows ~cols ~fn =
   let elems = rows * cols in
-  let dur =
-    float_of_int elems *. t.config.Config.ew_cpe_cycles_per_elem
-    /. t.config.Config.cpe_freq_hz
-  in
   let start = Engine.now t.engine in
   let finish = start +. dur in
   let buf = c.buffers.(buf) in

@@ -105,11 +105,22 @@ val sync_arrive : t -> cpe -> bool
 val sync_settle : t -> cpe -> bool
 val sync_done : t -> cpe -> unit
 
+val kernel_seconds : t -> Sw_tree.Comm.kernel -> float
+(** The micro kernel's duration on this cluster's machine, without faults:
+    priced once, when the op is lowered. *)
+
 val kernel :
-  t -> cpe -> Sw_tree.Comm.kernel -> c:int -> c_copy:int -> a:int ->
-  a_copy:int -> b:int -> b_copy:int -> bool
-(** Run the micro kernel; [true] when its duration delays the fiber. *)
+  t -> cpe -> Sw_tree.Comm.kernel -> seconds:float -> c:int -> c_copy:int ->
+  a:int -> a_copy:int -> b:int -> b_copy:int -> bool
+(** Run the micro kernel for [seconds] ({!kernel_seconds}), slowed on a
+    straggler CPE under a fault plan; [true] when its duration delays the
+    fiber. *)
+
+val spm_map_seconds : t -> rows:int -> cols:int -> float
+(** The duration of an element-wise pass over a [rows] x [cols] tile. *)
 
 val spm_map :
-  t -> cpe -> buf:int -> copy:int -> rows:int -> cols:int -> fn:string -> bool
-(** An element-wise pass over a tile; [true] when it delays the fiber. *)
+  t -> cpe -> seconds:float -> buf:int -> copy:int -> rows:int -> cols:int ->
+  fn:string -> bool
+(** An element-wise pass over a tile lasting [seconds]
+    ({!spm_map_seconds}); [true] when it delays the fiber. *)

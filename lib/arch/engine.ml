@@ -1,10 +1,6 @@
-type watchdog = {
-  max_sim_s : float option;
-  max_events : int option;
-  max_host_s : float option;
-}
+type watchdog = { max_sim_s : float option; max_events : int option }
 
-let no_watchdog = { max_sim_s = None; max_events = None; max_host_s = None }
+let no_watchdog = { max_sim_s = None; max_events = None }
 
 (* A parked fiber's counter (by id), awaited value and park time, and its
    deadline: the seq of its live deadline event, -1 for none, -2 when the
@@ -21,11 +17,13 @@ type fiber = {
    nothing. *)
 type clock = { mutable now : float }
 
-(* The queue is a binary min-heap on (time, seq), one array per key, and
-   beside it a FIFO ring of the events due at the current instant, in seq
-   order: those cost no sift. An event's tag holds its kind in the low two
-   bits (0: resume a fiber, 1: a fiber's deadline, 2: increment a counter,
-   3: a client event) and its argument above them. *)
+(* The queue is three structures, each in (time, seq) order: a FIFO ring
+   of the events due at the current instant, a FIFO lane of later events
+   that arrived in time order, and a binary min-heap on (time, seq), one
+   array per key, for the rest. Ring and lane cost no sift. An event's
+   tag holds its kind in the low two bits (0: resume a fiber, 1: a
+   fiber's deadline, 2: increment a counter, 3: a client event) and its
+   argument above them. *)
 type t = {
   clock : clock;
   mutable seq : int;
@@ -37,14 +35,22 @@ type t = {
   mutable ring_tags : int array;
   mutable ring_head : int;
   mutable ring_len : int;
+  mutable lane_times : float array;
+  mutable lane_seqs : int array;
+  mutable lane_tags : int array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   mutable fibers : fiber array;
   mutable nfibers : int;
   mutable counters : counter array;  (* registry, by id *)
   mutable ncounters : int;
   mutable watchdog : watchdog;
   mutable events_run : int;
-  (* resolved once at creation from the ambient registry *)
-  m_events : Sw_obs.Metrics.counter option;
+  mutable lane_run : int;  (* of [events_run], those the lane served *)
+  mutable heap_run : int;  (* and those the heap served *)
+  (* resolved once at creation from the ambient registry: all events, then
+     those of ring, lane and heap *)
+  m_events : (Sw_obs.Metrics.counter * Sw_obs.Metrics.counter array) option;
 }
 
 (* [waiters] holds the first [nwaiters] parked fibers in park order;
@@ -72,15 +78,27 @@ let create () =
     ring_tags = [||];
     ring_head = 0;
     ring_len = 0;
+    lane_times = [||];
+    lane_seqs = [||];
+    lane_tags = [||];
+    lane_head = 0;
+    lane_len = 0;
     fibers = [||];
     nfibers = 0;
     counters = [||];
     ncounters = 0;
     watchdog = no_watchdog;
     events_run = 0;
+    lane_run = 0;
+    heap_run = 0;
     m_events =
       Option.map
-        (fun r -> Sw_obs.Metrics.counter r "sim.events_total")
+        (fun r ->
+          let queue q =
+            Sw_obs.Metrics.counter r ~labels:[ ("queue", q) ] "sim.queue_events_total"
+          in
+          ( Sw_obs.Metrics.counter r "sim.events_total",
+            [| queue "ring"; queue "lane"; queue "heap" |] ))
         (Sw_obs.Metrics.current ());
   }
 
@@ -101,23 +119,45 @@ let[@inline] move t ~src ~dst =
 let invalid fmt =
   Printf.ksprintf (fun s -> raise (Error.Sim_error (Error.Invalid s))) fmt
 
-(* Append to the ring, whose capacity is a power of two, unrolling it into
-   arrays twice the size when it is full. *)
+(* A full circular buffer of capacity [cap] (a power of two) from [head],
+   unrolled into an array twice the size. *)
+let unroll a ~head ~cap zero =
+  Array.init (max 8 (2 * cap)) (fun i ->
+      if i < cap then a.((head + i) land (cap - 1)) else zero)
+
+(* Append to the ring, whose capacity is a power of two, unrolling it when
+   it is full. *)
 let ring_push t tag =
   let cap = Array.length t.ring_seqs in
   if t.ring_len = cap then begin
-    let grow a =
-      Array.init (max 8 (2 * cap)) (fun i ->
-          if i < cap then a.((t.ring_head + i) land (cap - 1)) else 0)
-    in
-    t.ring_seqs <- grow t.ring_seqs;
-    t.ring_tags <- grow t.ring_tags;
+    t.ring_seqs <- unroll t.ring_seqs ~head:t.ring_head ~cap 0;
+    t.ring_tags <- unroll t.ring_tags ~head:t.ring_head ~cap 0;
     t.ring_head <- 0
   end;
   let i = (t.ring_head + t.ring_len) land (Array.length t.ring_seqs - 1) in
   t.ring_seqs.(i) <- t.seq;
   t.ring_tags.(i) <- tag;
   t.ring_len <- t.ring_len + 1
+
+(* Append to the lane, as [ring_push] does to the ring. Inlined, as
+   [heap_push] is, so the event's time stays an unboxed float. *)
+let[@inline] lane_push t at tag =
+  let cap = Array.length t.lane_seqs in
+  if t.lane_len = cap then begin
+    t.lane_times <- unroll t.lane_times ~head:t.lane_head ~cap 0.0;
+    t.lane_seqs <- unroll t.lane_seqs ~head:t.lane_head ~cap 0;
+    t.lane_tags <- unroll t.lane_tags ~head:t.lane_head ~cap 0;
+    t.lane_head <- 0
+  end;
+  let i = (t.lane_head + t.lane_len) land (Array.length t.lane_seqs - 1) in
+  t.lane_times.(i) <- at;
+  t.lane_seqs.(i) <- t.seq;
+  t.lane_tags.(i) <- tag;
+  t.lane_len <- t.lane_len + 1
+
+(* The time of the lane's last event; the lane is not empty. *)
+let[@inline] lane_tail t =
+  t.lane_times.((t.lane_head + t.lane_len - 1) land (Array.length t.lane_seqs - 1))
 
 (* Inlined at every call, so the event's time stays an unboxed float. *)
 let[@inline] heap_push t at tag =
@@ -144,12 +184,17 @@ let[@inline] heap_push t at tag =
   t.size <- t.size + 1
 
 (* An event due now goes to the ring: every queued event is due at or
-   after now, so the ring's events stay due at the clock until they run. *)
+   after now, so the ring's events stay due at the clock until they run.
+   A later one goes to the lane when it is due no earlier than the lane's
+   last event, so the lane stays in (time, seq) order as seqs rise, and
+   to the heap otherwise. *)
 let[@inline] push t at tag =
   if at < t.clock.now then
     invalid "Engine: scheduling into the past (%.6g < %.6g)" at t.clock.now;
   t.seq <- t.seq + 1;
-  if at = t.clock.now then ring_push t tag else heap_push t at tag
+  if at = t.clock.now then ring_push t tag
+  else if t.lane_len = 0 || at >= lane_tail t then lane_push t at tag
+  else heap_push t at tag
 
 let[@inline] before t i j =
   t.times.(i) < t.times.(j) || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
@@ -337,38 +382,63 @@ let trip t limit =
     (Error.Sim_error
        (Error.Watchdog { limit; sim_time = t.clock.now; events_run = t.events_run }))
 
-let check_watchdog t ~host_start =
+let check_watchdog t =
   let w = t.watchdog in
   (match w.max_events with Some n when t.events_run > n -> trip t (`Events n) | _ -> ());
-  (match w.max_sim_s with Some s when t.clock.now > s -> trip t (`Sim_time s) | _ -> ());
-  match w.max_host_s with
-  | Some s when t.events_run land 4095 = 0 && Sys.time () -. host_start > s ->
-      trip t (`Host_time s)
-  | _ -> ()
+  match w.max_sim_s with Some s when t.clock.now > s -> trip t (`Sim_time s) | _ -> ()
+
+(* Whether the lane's head runs before the heap's root; the lane is not
+   empty. *)
+let[@inline] lane_first t =
+  t.size = 0
+  ||
+  let h = t.lane_head in
+  t.lane_times.(h) < t.times.(0)
+  || (t.lane_times.(h) = t.times.(0) && t.lane_seqs.(h) < t.seqs.(0))
 
 let run t ~resume ~event =
-  let host_start = Sys.time () and events_at_entry = t.events_run in
+  let events_at_entry = t.events_run
+  and lane_at_entry = t.lane_run
+  and heap_at_entry = t.heap_run in
   let guarded = t.watchdog <> no_watchdog in
-  while t.size > 0 || t.ring_len > 0 do
-    (* the ring's head is due now, so it goes first unless the heap's root
-       is due now too and was queued earlier *)
-    let h = t.ring_head in
+  while t.size > 0 || t.ring_len > 0 || t.lane_len > 0 do
+    (* the smallest (time, seq) of the three heads: the smaller of the
+       lane's head and the heap's root, unless the ring's head, which is
+       due now, is smaller still *)
+    let from_lane = t.lane_len > 0 && lane_first t in
+    let h = t.ring_head and l = t.lane_head in
     let from_ring =
       t.ring_len > 0
-      && (t.size = 0 || t.times.(0) > t.clock.now || t.seqs.(0) > t.ring_seqs.(h))
+      &&
+      if from_lane then t.lane_times.(l) > t.clock.now || t.lane_seqs.(l) > t.ring_seqs.(h)
+      else t.size = 0 || t.times.(0) > t.clock.now || t.seqs.(0) > t.ring_seqs.(h)
     in
-    let seq = if from_ring then t.ring_seqs.(h) else t.seqs.(0)
-    and tag = if from_ring then t.ring_tags.(h) else t.tags.(0) in
+    let seq =
+      if from_ring then t.ring_seqs.(h)
+      else if from_lane then t.lane_seqs.(l)
+      else t.seqs.(0)
+    and tag =
+      if from_ring then t.ring_tags.(h)
+      else if from_lane then t.lane_tags.(l)
+      else t.tags.(0)
+    in
     if from_ring then begin
       t.ring_head <- (h + 1) land (Array.length t.ring_seqs - 1);
       t.ring_len <- t.ring_len - 1
     end
+    else if from_lane then begin
+      t.clock.now <- t.lane_times.(l);
+      t.lane_head <- (l + 1) land (Array.length t.lane_seqs - 1);
+      t.lane_len <- t.lane_len - 1;
+      t.lane_run <- t.lane_run + 1
+    end
     else begin
       t.clock.now <- t.times.(0);
-      pop t
+      pop t;
+      t.heap_run <- t.heap_run + 1
     end;
     t.events_run <- t.events_run + 1;
-    if guarded then check_watchdog t ~host_start;
+    if guarded then check_watchdog t;
     let arg = tag lsr 2 in
     match tag land 3 with
     | 0 -> resume arg
@@ -376,7 +446,16 @@ let run t ~resume ~event =
     | 2 -> counter_incr t.counters.(arg)
     | _ -> event arg
   done;
-  Option.iter (Sw_obs.Metrics.incr ~by:(t.events_run - events_at_entry)) t.m_events;
+  Option.iter
+    (fun (all, queues) ->
+      let events = t.events_run - events_at_entry
+      and lane = t.lane_run - lane_at_entry
+      and heap = t.heap_run - heap_at_entry in
+      Sw_obs.Metrics.incr ~by:events all;
+      Sw_obs.Metrics.incr ~by:(events - lane - heap) queues.(0);
+      Sw_obs.Metrics.incr ~by:lane queues.(1);
+      Sw_obs.Metrics.incr ~by:heap queues.(2))
+    t.m_events;
   let fibers = blocked_fibers t in
   if fibers <> [] then
     raise

@@ -9,13 +9,16 @@
     memory controller, the RMA links) are {!channel}s that serialize
     transfers, each completing in an event for the client's [event].
 
-    The queue is a binary heap over flat arrays of times, seqs and tags (a
-    tag names the event's kind and argument), beside a FIFO ring of the
-    events due at the current instant, so queuing and running an event
-    allocate nothing and a same-instant wake-up costs no sift. Events fire
-    in (time, creation sequence) order, so simulations are exactly
-    reproducible — including under fault injection, whose decisions are
-    drawn in event order from the plan's seeded PRNG.
+    The queue is three structures over flat arrays of times, seqs and tags
+    (a tag names the event's kind and argument): a FIFO ring of the events
+    due at the current instant, a FIFO lane of later events queued in time
+    order, and a binary heap for the rest. Queuing and running an event
+    allocate nothing, and only an event queued out of time order costs a
+    sift. Events fire in (time, creation sequence) order, so simulations
+    are exactly reproducible — including under fault injection, whose
+    decisions are drawn in event order from the plan's seeded PRNG. With a
+    metrics registry installed, [run] counts the events each structure
+    served in [sim.queue_events_total{queue=ring|lane|heap}].
 
     Failures are typed ({!Error.Sim_error}): a {!Error.Deadlock} names
     every fiber still parked when the queue drains, its counter, current
@@ -41,7 +44,6 @@ val run : t -> resume:(int -> unit) -> event:(int -> unit) -> float
 type watchdog = {
   max_sim_s : float option;  (** simulated-time budget *)
   max_events : int option;  (** event-count budget *)
-  max_host_s : float option;  (** host wall-clock budget (CPU seconds) *)
 }
 
 val no_watchdog : watchdog

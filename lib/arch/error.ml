@@ -41,7 +41,7 @@ type t =
       sim_time : float;
     }
   | Watchdog of {
-      limit : [ `Sim_time of float | `Events of int | `Host_time of float ];
+      limit : [ `Sim_time of float | `Events of int ];
       sim_time : float;
       events_run : int;
     }
@@ -117,7 +117,6 @@ let to_string = function
         match limit with
         | `Sim_time s -> Printf.sprintf "simulated-time budget %.6gs" s
         | `Events n -> Printf.sprintf "event budget %d" n
-        | `Host_time s -> Printf.sprintf "host wall-clock budget %.3gs" s
       in
       Printf.sprintf "watchdog: %s exceeded at t=%.6gs after %d event(s)" l
         sim_time events_run

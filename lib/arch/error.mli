@@ -52,7 +52,7 @@ type t =
       sim_time : float;
     }  (** the bounded retry policy gave up on a timed-out wait *)
   | Watchdog of {
-      limit : [ `Sim_time of float | `Events of int | `Host_time of float ];
+      limit : [ `Sim_time of float | `Events of int ];
       sim_time : float;
       events_run : int;
     }  (** a runaway simulation was terminated by a budget *)

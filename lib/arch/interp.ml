@@ -59,24 +59,28 @@ let lower_aff ctx scope = Aff.lower ~vars:(var scope) ~params:(param ctx)
 let lower_pred ctx scope = Pred.lower ~vars:(var scope) ~params:(param ctx)
 
 (* An SPM operand: its handle's position, checked before the copy index
-   is evaluated, as a lookup by name did. *)
-type buf = { index : int; name : string; parity : (int array -> int) option }
+   is evaluated, as a lookup by name did. The copy index is the parity
+   modulo the buffer's declared copies, lowered as one expression. *)
+type buf = { index : int; name : string; copy : int array -> int }
 
 let lower_buf ctx scope (b : Comm.buf) =
+  let decls = ctx.program.Sw_ast.Ast.spm_decls in
+  let index =
+    position (fun (d : Sw_ast.Ast.spm_decl) -> d.Sw_ast.Ast.buf_name = b.Comm.base) decls
+  in
   {
-    index =
-      position
-        (fun (d : Sw_ast.Ast.spm_decl) -> d.Sw_ast.Ast.buf_name = b.Comm.base)
-        ctx.program.Sw_ast.Ast.spm_decls;
+    index;
     name = b.Comm.base;
-    parity = Option.map (lower_aff ctx scope) b.Comm.parity;
+    copy =
+      (match b.Comm.parity with
+      | Some p when index >= 0 ->
+          lower_aff ctx scope (Aff.Mod (p, (List.nth decls index).Sw_ast.Ast.copies))
+      | _ -> fun _ -> 0);
   }
 
-let copy_of b (cpe : Cluster.cpe) env =
+let copy_of b env =
   if b.index < 0 then fail "Spm: unknown buffer %s" b.name;
-  match b.parity with
-  | None -> 0
-  | Some f -> Ints.fmod (f env) (Spm.copies cpe.Cluster.buffers.(b.index))
+  b.copy env
 
 let lower_reply ctx name =
   let i = position (String.equal name) ctx.program.Sw_ast.Ast.replies in
@@ -86,9 +90,7 @@ let lower_reply ctx name =
 
 let lower_parity ctx scope = function
   | None -> fun _ -> 0
-  | Some p ->
-      let f = lower_aff ctx scope p in
-      fun env -> Ints.fmod (f env) 2
+  | Some p -> lower_aff ctx scope (Aff.Mod (p, 2))
 
 (* Moving on: to op [i] or to the next op. An op that suspends its fiber
    moves on first, so the fiber resumes at the op after it. *)
@@ -161,7 +163,7 @@ let lower_op ctx scope (c : Comm.t) =
       [
         (fun cpe env ->
           let rcopy = rcopy env in
-          let copy = copy_of spm cpe env in
+          let copy = copy_of spm env in
           let batch_i = match batch with None -> 0 | Some f -> f env in
           let row_lo = row_lo env and col_lo = col_lo env in
           let reply = reply cpe in
@@ -181,8 +183,8 @@ let lower_op ctx scope (c : Comm.t) =
       [
         (fun cpe env ->
           let rcopy = rcopy env in
-          let src_copy = copy_of src cpe env in
-          let dst_copy = copy_of dst cpe env in
+          let src_copy = copy_of src env in
+          let dst_copy = copy_of dst env in
           Cluster.rma_bcast cl cpe r ~src:src.index ~src_copy ~dst:dst.index
             ~dst_copy ~root:(root env) ~reply_s:(reply_s cpe)
             ~reply_r:(reply_r cpe) ~rcopy;
@@ -199,22 +201,23 @@ let lower_op ctx scope (c : Comm.t) =
           next env);
       ]
   | Comm.Spm_map { target; rows; cols; fn } ->
-      let target = buf target in
+      let target = buf target and seconds = Cluster.spm_map_seconds cl ~rows ~cols in
       [
         (fun cpe env ->
-          let copy = copy_of target cpe env in
+          let copy = copy_of target env in
           ignore (next env);
-          Cluster.spm_map cl cpe ~buf:target.index ~copy ~rows ~cols ~fn);
+          Cluster.spm_map cl cpe ~seconds ~buf:target.index ~copy ~rows ~cols ~fn);
       ]
   | Comm.Kernel k ->
       let c = buf k.Comm.c and a = buf k.Comm.a and b = buf k.Comm.b in
+      let seconds = Cluster.kernel_seconds cl k in
       [
         (fun cpe env ->
-          let c_copy = copy_of c cpe env in
-          let a_copy = copy_of a cpe env in
-          let b_copy = copy_of b cpe env in
+          let c_copy = copy_of c env in
+          let a_copy = copy_of a env in
+          let b_copy = copy_of b env in
           ignore (next env);
-          Cluster.kernel cl cpe k ~c:c.index ~c_copy ~a:a.index ~a_copy
+          Cluster.kernel cl cpe k ~seconds ~c:c.index ~c_copy ~a:a.index ~a_copy
             ~b:b.index ~b_copy);
       ]
 

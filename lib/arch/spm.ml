@@ -45,8 +45,6 @@ let alloc t name ~rows ~cols ~copies =
     spans = Array.make (4 * copies) neg_infinity;
   }
 
-let copies b = b.copies
-
 let check_copy b copy =
   if copy < 0 || copy >= b.copies then
     failwith

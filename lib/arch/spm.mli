@@ -25,8 +25,6 @@ val alloc : t -> string -> rows:int -> cols:int -> copies:int -> buffer
     an empty buffer, [Overflow] when the allocation exceeds remaining
     capacity. *)
 
-val copies : buffer -> int
-
 val tile : buffer -> copy:int -> float array
 (** The backing array of one copy ([functional] mode only). *)
 

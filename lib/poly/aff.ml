@@ -105,11 +105,18 @@ let evaluator = function
   | Slot i -> fun env -> env.(i)
   | Dynamic f -> f
 
+(* The exponent of a positive power of two, else -1. *)
+let log2 d =
+  let rec go n s = if n = 1 then s else go (n lsr 1) (s + 1) in
+  if Ints.pow2 d then go d 0 else -1
+
 (* Lowering folds constants and fuses the shapes generated code is made
    of (a slot plus or times a constant, a slot's floor or modulo) into one
-   closure each. Every other node keeps [eval]'s operator and operand
-   order, so a [Dynamic] leaf that raises is reached exactly when [eval]
-   would reach the name it stands for. *)
+   closure each. Floor and modulo by a power of two need no division: an
+   arithmetic shift floors, and the low bits are the non-negative
+   remainder. Every other node keeps [eval]'s operator and operand order,
+   so a [Dynamic] leaf that raises is reached exactly when [eval] would
+   reach the name it stands for. *)
 let lower ~vars ~params e =
   let rec go = function
     | Const n -> Value n
@@ -140,19 +147,28 @@ let lower ~vars ~params e =
             let fa = evaluator a in
             Dynamic (fun env -> k * fa env))
     | Fdiv (a, d) -> (
-        match go a with
-        | Value x when d <> 0 -> Value (Ints.fdiv x d)
-        | Slot i -> Dynamic (fun env -> Ints.fdiv env.(i) d)
-        | a ->
+        match (go a, log2 d) with
+        | Value x, _ when d <> 0 -> Value (Ints.fdiv x d)
+        | Slot i, -1 -> Dynamic (fun env -> Ints.fdiv env.(i) d)
+        | Slot i, s -> Dynamic (fun env -> env.(i) asr s)
+        | a, -1 ->
             let fa = evaluator a in
-            Dynamic (fun env -> Ints.fdiv (fa env) d))
+            Dynamic (fun env -> Ints.fdiv (fa env) d)
+        | a, s ->
+            let fa = evaluator a in
+            Dynamic (fun env -> fa env asr s))
     | Mod (a, d) -> (
-        match go a with
-        | Value x when d <> 0 -> Value (Ints.fmod x d)
-        | Slot i -> Dynamic (fun env -> Ints.fmod env.(i) d)
-        | a ->
+        let m = d - 1 in
+        match (go a, log2 d) with
+        | Value x, _ when d <> 0 -> Value (Ints.fmod x d)
+        | Slot i, -1 -> Dynamic (fun env -> Ints.fmod env.(i) d)
+        | Slot i, _ -> Dynamic (fun env -> env.(i) land m)
+        | a, -1 ->
             let fa = evaluator a in
-            Dynamic (fun env -> Ints.fmod (fa env) d))
+            Dynamic (fun env -> Ints.fmod (fa env) d)
+        | a, _ ->
+            let fa = evaluator a in
+            Dynamic (fun env -> fa env land m))
   in
   evaluator (go e)
 

@@ -90,3 +90,8 @@ let scripted steps =
 let now_do f _ =
   f ();
   false
+
+(* A data directory that the build copies beside the test executable
+   (the [data] alias of test/dune), so a test finds it from any working
+   directory. *)
+let beside_exe name = Filename.concat (Filename.dirname Sys.executable_name) name

@@ -80,7 +80,7 @@ let prop_subst_compose =
    shape of [lower] is reached) over four slot variables x0..x3, two
    constant parameters p0, p1 and one computed parameter p2; operands
    range over negative values so Fdiv and Mod see them. *)
-let gen_aff =
+let gen_aff_with ~divisor =
   QCheck.Gen.(
     sized_size (int_bound 6)
     @@ fix (fun self n ->
@@ -101,9 +101,11 @@ let gen_aff =
                  (2, map2 (fun a b -> Aff.Add (a, b)) sub sub);
                  (2, map2 (fun a b -> Aff.Sub (a, b)) sub sub);
                  (1, map2 (fun k a -> Aff.Mul (k, a)) (int_range (-5) 5) sub);
-                 (2, map2 (fun a d -> Aff.Fdiv (a, d)) sub (int_range 1 7));
-                 (2, map2 (fun a d -> Aff.Mod (a, d)) sub (int_range 1 7));
+                 (2, map2 (fun a d -> Aff.Fdiv (a, d)) sub divisor);
+                 (2, map2 (fun a d -> Aff.Mod (a, d)) sub divisor);
                ]))
+
+let gen_aff = gen_aff_with ~divisor:(QCheck.Gen.int_range 1 7)
 
 let gen_env = QCheck.Gen.(array_size (return 4) (int_range (-60) 60))
 let gen_params = QCheck.Gen.(pair (int_range (-60) 60) (int_range (-60) 60))
@@ -124,8 +126,8 @@ let resolvers (p0, p1) =
     (fun env v -> env.(slot v)),
     eval_params )
 
-let prop_aff_lower_agrees =
-  qtest ~count:500 "Aff.lower agrees with Aff.eval"
+let lower_agrees ?(count = 500) name gen_aff gen_env =
+  qtest ~count name
     (QCheck.make
        ~print:(fun (e, env, (p0, p1)) ->
          Printf.sprintf "%s with x = [%s], p0 = %d, p1 = %d" (Aff.to_string e)
@@ -136,6 +138,42 @@ let prop_aff_lower_agrees =
       let vars, params, eval_vars, eval_params = resolvers ps in
       Aff.lower ~vars ~params e env
       = Aff.eval ~vars:(eval_vars env) ~params:(eval_params env) e)
+
+let prop_aff_lower_agrees = lower_agrees "Aff.lower agrees with Aff.eval" gen_aff gen_env
+
+(* Floor and modulo by a power of two lower to a shift and a mask, and by
+   any other divisor to one division: divisors from 1 to 64, half of them
+   powers of two, over slots far below zero. *)
+let prop_aff_lower_divisors =
+  lower_agrees "Aff.lower agrees with Aff.eval: divisors 1-64, negative slots"
+    (gen_aff_with
+       ~divisor:QCheck.Gen.(oneof [ map (fun k -> 1 lsl k) (int_bound 6); int_range 1 64 ]))
+    QCheck.Gen.(array_size (return 4) (int_range (-1_000_000) 60))
+
+(* A divisor of 0 or below only comes from a raw constructor ([Aff.fdiv]
+   and [Aff.fmod] reject it): lowering keeps [Ints]' floor semantics for
+   a negative one and, for 0, still raises [Division_by_zero] only when
+   the expression is evaluated, constant operand or not. *)
+let prop_aff_lower_nonpositive_divisor =
+  qtest "Aff.lower by a divisor <= 0 agrees with Aff.eval; 0 raises when run"
+    QCheck.(pair (int_range (-64) 0) (int_range (-1000) 1000))
+    (fun (d, x) ->
+      let outcome f = match f () with v -> Ok v | exception Division_by_zero -> Error () in
+      List.for_all
+        (fun e ->
+          let lowered = Aff.lower ~vars:(fun _ -> Aff.Slot 0) ~params:(fun _ -> Aff.Value 0) e in
+          let got = outcome (fun () -> lowered [| x |]) in
+          got = outcome (fun () -> Aff.eval ~vars:(fun _ -> x) ~params:(fun _ -> 0) e)
+          && (d <> 0 || got = Error ()))
+        Aff.
+          [
+            Fdiv (Var "x", d);
+            Mod (Var "x", d);
+            Fdiv (Const x, d);
+            Mod (Const x, d);
+            Fdiv (Add (Var "x", Const 1), d);
+            Mod (Add (Var "x", Const 1), d);
+          ])
 
 let prop_pred_lower_agrees =
   let open Sw_tree in
@@ -336,6 +374,8 @@ let tests =
     prop_eval_fdiv;
     prop_subst_compose;
     prop_aff_lower_agrees;
+    prop_aff_lower_divisors;
+    prop_aff_lower_nonpositive_divisor;
     prop_pred_lower_agrees;
     prop_pointwise_always_parallel;
   ]

@@ -218,7 +218,11 @@ let test_spm_capacity () =
       check Alcotest.int "needed bytes" (8 * 8 * 9) o.needed;
       check Alcotest.int "capacity" 1024 o.capacity
   | _ -> Alcotest.fail "expected overflow");
-  check Alcotest.int "copies" 2 (Spm.copies x)
+  (* two copies: copy 1 holds a tile, copy 2 is out of range *)
+  check Alcotest.int "copy 1" 32 (Array.length (Spm.tile x ~copy:1));
+  Alcotest.check_raises "copy 2"
+    (Failure "Spm: copy 2 out of range for x (2 copies)")
+    (fun () -> ignore (Spm.tile x ~copy:2))
 
 let test_spm_race_detection () =
   let spm = Spm.create ~capacity_bytes:4096 ~functional:false in
@@ -732,18 +736,30 @@ let prop_engine_determinism =
       run () = run ())
 
 (* The engine against a list-based reference model of its (time, seq)
-   order. Scripted fibers make ties on purpose: delays of 0, d or 2d, and
-   counter awaits, increments, a barrier and zero-byte transfers on a
-   zero-latency channel, all of which wake someone at the current instant.
-   A transfer's completion increments a counter. *)
-type op = Delay of float | Incr of int | Await of int * int | Barrier | Send
+   order. Scripted fibers make ties on purpose: delays of 0, d, 2d or 3d,
+   which arrive both in time order (to the engine's lane) and out of it
+   (to its heap), and counter awaits, increments, a barrier and zero-byte
+   transfers on a zero-latency channel, all of which wake someone at the
+   current instant (its ring). Posts occupy a second channel, whose
+   bandwidth and latency put their completions on quarter-d steps between
+   the delays. A transfer's completion increments a counter. *)
+type op =
+  | Delay of float
+  | Incr of int
+  | Await of int * int
+  | Barrier
+  | Send
+  | Post of int  (** bytes on the channel with latency *)
 
 (* A run is its resumes and client events in the order they ran, and
    whether it ended with fibers still parked. *)
 type ran = Resumed of int * float | Completed of int * float
 
+let post_bw = 4.0 and post_latency = 0.125
+
 let model_order ~ncounters ~parties scripts =
   let now = ref 0.0 and seq = ref 0 and queue = ref [] and log = ref [] in
+  let busy_until = ref 0.0 in
   (* the barrier is counter [ncounters] *)
   let values = Array.make (ncounters + 1) 0 in
   let waiters = Array.make (ncounters + 1) [] (* park order: (fiber, target) *) in
@@ -779,6 +795,11 @@ let model_order ~ncounters ~parties scripts =
             await ncounters (round * parties)
         | Send ->
             push !now (`Complete f);
+            step f
+        | Post bytes ->
+            let start = if !now >= !busy_until then !now else !busy_until in
+            busy_until := start +. (float_of_int bytes /. post_bw);
+            push (!busy_until +. post_latency) (`Complete f);
             step f)
   in
   List.iteri (fun f _ -> push 0.0 (`Resume f)) scripts;
@@ -801,11 +822,17 @@ let model_order ~ncounters ~parties scripts =
   done;
   (List.rev !log, Array.exists (fun w -> w <> []) waiters)
 
+(* The engine's run, and how many events its ring, lane and heap served,
+   read from the metrics it keeps when a registry is installed. *)
 let engine_order ~ncounters ~parties scripts =
+  let registry = Sw_obs.Metrics.create () in
+  Sw_obs.Metrics.install registry;
+  Fun.protect ~finally:Sw_obs.Metrics.uninstall @@ fun () ->
   let eng = Engine.create () in
   let counters = Array.init ncounters (fun _ -> Engine.new_counter eng) in
   let b = Engine.new_barrier eng ~parties in
   let ch = Engine.new_channel ~bw_bytes_per_s:1e9 ~latency_s:0.0 in
+  let post = Engine.new_channel ~bw_bytes_per_s:post_bw ~latency_s:post_latency in
   let log = ref [] in
   let steps =
     List.map
@@ -814,7 +841,8 @@ let engine_order ~ncounters ~parties scripts =
         | Incr c -> now_do (fun () -> Engine.counter_incr counters.(c))
         | Await (c, n) -> fun f -> Engine.await eng f counters.(c) n
         | Barrier -> fun f -> Engine.barrier_wait eng f b
-        | Send -> fun f -> Engine.transfer eng ch ~bytes:0 ~event:f; false))
+        | Send -> fun f -> Engine.transfer eng ch ~bytes:0 ~event:f; false
+        | Post bytes -> fun f -> Engine.transfer eng post ~bytes ~event:f; false))
       scripts
   in
   List.iter (fun _ -> ignore (Engine.spawn eng)) scripts;
@@ -831,8 +859,19 @@ let engine_order ~ncounters ~parties scripts =
     | _ -> false
     | exception Error.Sim_error (Error.Deadlock _) -> true
   in
-  (List.rev !log, deadlocked)
+  let served queue =
+    match
+      Sw_obs.Metrics.find (Sw_obs.Metrics.snapshot registry)
+        ~labels:[ ("queue", queue) ] "sim.queue_events_total"
+    with
+    | Some (Sw_obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  ((List.rev !log, deadlocked), List.map served [ "ring"; "lane"; "heap" ])
 
+(* Every case starts with fiber 0 delaying 2d, which the lane takes, and
+   fiber 1 delaying d, which is due before the lane's tail and so goes to
+   the heap; the spawns are due now, in the ring. *)
 let prop_engine_order_matches_model =
   qtest ~count:300 "engine order equals the (time, seq) reference model"
     (QCheck.int_range 0 1_000_000)
@@ -841,18 +880,23 @@ let prop_engine_order_matches_model =
       let nfibers = 2 + Random.State.int rng 5 and ncounters = 2 in
       let d = 0.5 in
       let op () =
-        match Random.State.int rng 6 with
-        | 0 -> Delay (float_of_int (Random.State.int rng 3) *. d)
+        match Random.State.int rng 7 with
+        | 0 -> Delay (float_of_int (Random.State.int rng 4) *. d)
         | 1 -> Incr (Random.State.int rng ncounters)
         | 2 -> Await (Random.State.int rng ncounters, 1 + Random.State.int rng 4)
         | 3 -> Barrier
-        | _ -> Send
+        | 4 -> Send
+        | _ -> Post (Random.State.int rng 4)
       in
       let scripts =
-        List.init nfibers (fun _ -> List.init (1 + Random.State.int rng 10) (fun _ -> op ()))
+        List.init nfibers (fun f ->
+            let prefix = match f with 0 -> [ Delay (2.0 *. d) ] | 1 -> [ Delay d ] | _ -> [] in
+            prefix @ List.init (1 + Random.State.int rng 10) (fun _ -> op ()))
       in
       let parties = 1 + Random.State.int rng nfibers in
-      engine_order ~ncounters ~parties scripts = model_order ~ncounters ~parties scripts)
+      let ran, served = engine_order ~ncounters ~parties scripts in
+      ran = model_order ~ncounters ~parties scripts
+      && List.for_all (fun n -> n > 0) served)
 
 let engine_edge_tests =
   [

@@ -16,7 +16,7 @@ let compile ?options spec = compile_exn ?options ~config:tiny spec
 (* Bound every faulted simulation so a regression shows up as a typed
    Watchdog error instead of a hanging test binary. *)
 let watchdog =
-  { Engine.max_sim_s = Some 10.0; max_events = Some 5_000_000; max_host_s = None }
+  { Engine.max_sim_s = Some 10.0; max_events = Some 5_000_000 }
 
 let spec_mnk = Spec.make
 

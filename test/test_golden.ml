@@ -10,7 +10,7 @@ open Sw_arch
 let compile_exn = Helpers.compile_exn
 
 let read_golden name =
-  In_channel.with_open_text (Filename.concat "golden" name)
+  In_channel.with_open_text (Filename.concat (Helpers.beside_exe "golden") name)
     In_channel.input_all
 
 let diff_message ~name expected actual =

@@ -522,8 +522,9 @@ let corpus_digests =
 
 (* Every case of test/corpus/, as a timing run on its tiny machine. *)
 let test_digest_corpus () =
+  let corpus = Helpers.beside_exe "corpus" in
   let files =
-    Sys.readdir "corpus" |> Array.to_list
+    Sys.readdir corpus |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".json")
     |> List.sort String.compare
   in
@@ -531,7 +532,7 @@ let test_digest_corpus () =
     let case =
       match
         Result.bind
-          (Sw_obs.Json.parse_file (Filename.concat "corpus" file))
+          (Sw_obs.Json.parse_file (Filename.concat corpus file))
           (fun j ->
             match Sw_obs.Json.member "case" j with
             | Some c -> Sw_check.Case.of_json c
