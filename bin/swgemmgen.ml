@@ -793,19 +793,12 @@ let fuzz_cmd =
   in
   let arch_pool_arg =
     let doc =
-      "Restrict fresh cases to this architecture preset (repeatable; see \
-       $(b,swgemmgen arch list)). Mutated corpus entries keep their own \
-       preset."
+      "Restrict fresh cases to this machine (repeatable): a preset of \
+       $(b,swgemmgen arch list), $(i,tiny-RxC) for the tiny machine on any \
+       R x C mesh, either with an optional $(i,@MxNxK) micro-kernel \
+       override. Mutated corpus entries keep their own machine."
     in
-    Arg.(value & opt_all string [] & info [ "arch" ] ~docv:"NAME" ~doc)
-  in
-  let arch_matrix_arg =
-    let doc =
-      "Fuzz over the standard conformance matrix of mesh geometries — \
-       tiny-8x8, tiny4 (4x4), tiny-8x4, tiny-16x16 — instead of the \
-       default tiny mix; unioned with any $(b,--arch)."
-    in
-    Arg.(value & flag & info [ "arch-matrix" ] ~doc)
+    Arg.(value & opt_all string [] & info [ "arch" ] ~docv:"ID" ~doc)
   in
   let fuzz_tune_db_arg =
     let doc =
@@ -816,8 +809,8 @@ let fuzz_cmd =
     in
     Arg.(value & opt (some string) None & info [ "tune-db" ] ~docv:"DIR" ~doc)
   in
-  let run cases seed jobs inject arch_pool arch_matrix tune_db corpus_dir
-      repro_dir max_shrink sabotage replay metrics =
+  let run cases seed jobs inject arch_pool tune_db corpus_dir repro_dir
+      max_shrink sabotage replay metrics =
     Common_flags.with_metrics metrics @@ fun () ->
     match replay with
     | Some path -> (
@@ -873,13 +866,7 @@ let fuzz_cmd =
           match tuned_pool with
           | Error _ as e -> e
           | Ok tuned ->
-          let pool =
-            (if arch_matrix then
-               [ "tiny-8x8"; "tiny4"; "tiny-8x4"; "tiny-16x16" ]
-             else [])
-            @ arch_pool @ tuned
-          in
-          match pool with
+          match arch_pool @ tuned with
           | [] -> Ok None
           | names -> (
               match
@@ -890,7 +877,9 @@ let fuzz_cmd =
               | Some n ->
                   Error
                     (`Msg
-                      (Printf.sprintf "--arch: unknown preset '%s' (known: %s)"
+                      (Printf.sprintf
+                         "--arch: unknown config id '%s' (a preset, \
+                          PRESET@MxNxK or tiny-RxC[@MxNxK]; presets: %s)"
                          n
                          (String.concat ", " (Config.names ()))))
               | None -> Ok (Some (Array.of_list names)))
@@ -943,9 +932,9 @@ let fuzz_cmd =
     Term.(
       term_result
         (const run $ cases_arg $ seed_arg $ Common_flags.jobs_arg
-       $ inject_faults_arg $ arch_pool_arg $ arch_matrix_arg
-       $ fuzz_tune_db_arg $ corpus_arg $ repro_arg $ max_shrink_arg
-       $ sabotage_arg $ replay_arg $ Common_flags.metrics_arg))
+       $ inject_faults_arg $ arch_pool_arg $ fuzz_tune_db_arg $ corpus_arg
+       $ repro_arg $ max_shrink_arg $ sabotage_arg $ replay_arg
+       $ Common_flags.metrics_arg))
   in
   Cmd.v
     (Cmd.info "fuzz"

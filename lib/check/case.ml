@@ -3,8 +3,6 @@ module Json = Sw_obs.Json
 
 type config_id = string
 
-let config_id_to_string id = id
-
 (* "preset@MxNxK" overrides the preset's micro-kernel shape — the form
    tuned winners take when the tuning DB feeds the fuzzer. *)
 let split_id s =
@@ -14,29 +12,36 @@ let split_id s =
       ( String.sub s 0 i,
         Some (String.sub s (i + 1) (String.length s - i - 1)) )
 
-let mk_of_string s =
-  match String.split_on_char 'x' s with
-  | [ a; b; c ] -> (
-      match
-        (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c)
-      with
-      | Some m, Some n, Some k when m > 0 && n > 0 && k > 0 -> Some (m, n, k)
-      | _ -> None)
-  | _ -> None
+(* positive decimal integers joined by 'x': "2x3" -> [2; 3] *)
+let dims s =
+  let positive d =
+    match int_of_string_opt d with
+    | Some v when v > 0 && String.for_all (fun c -> c >= '0' && c <= '9') d ->
+        Some v
+    | _ -> None
+  in
+  let parts = List.map positive (String.split_on_char 'x' s) in
+  if List.mem None parts then None else Some (List.filter_map Fun.id parts)
 
+(* Registry names and aliases resolve first; any other "tiny-RxC" is the
+   tiny machine on an R x C mesh. *)
 let resolve_id s =
-  let preset, override = split_id s in
-  match (Sw_arch.Config.find preset, override) with
-  | None, _ -> None
+  let name, override = split_id s in
+  let base =
+    match (Sw_arch.Config.find name, String.split_on_char '-' name) with
+    | (Some _ as c), _ -> c
+    | None, [ "tiny"; rc ] -> (
+        match dims rc with
+        | Some [ r; c ] -> Some (Sw_arch.Config.tiny ~mesh:r ~cols:c ())
+        | _ -> None)
+    | None, _ -> None
+  in
+  match (base, Option.map dims override) with
   | Some c, None -> Some c
-  | Some c, Some mk -> (
-      match mk_of_string mk with
-      | None -> None
-      | Some (m, n, k) -> (
-          let c = { c with Sw_arch.Config.mk_m = m; mk_n = n; mk_k = k } in
-          match Sw_arch.Config.validate c with
-          | Ok () -> Some c
-          | Error _ -> None))
+  | Some c, Some (Some [ m; n; k ]) -> (
+      let c = { c with Sw_arch.Config.mk_m = m; mk_n = n; mk_k = k } in
+      match Sw_arch.Config.validate c with Ok () -> Some c | Error _ -> None)
+  | _ -> None
 
 let config_id_of_string s =
   match resolve_id s with Some _ -> Some s | None -> None
@@ -64,7 +69,7 @@ let fault_to_string = function
 let to_string t =
   Printf.sprintf "%s | %s %s data=%d%s" (Spec.to_string t.spec)
     (Options.name t.options)
-    (config_id_to_string t.config)
+    t.config
     t.data_seed (fault_to_string t.fault)
 
 let to_json t =
@@ -87,7 +92,7 @@ let to_json t =
             ("use_rma", Json.Bool t.options.Options.use_rma);
             ("hiding", Json.Bool t.options.Options.hiding);
           ] );
-      ("config", Json.String (config_id_to_string t.config));
+      ("config", Json.String t.config);
       ("data_seed", Json.Int t.data_seed);
       ( "fault",
         match t.fault with

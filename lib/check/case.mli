@@ -7,19 +7,27 @@
     JSON round-trip is the on-disk format of corpus and repro files. *)
 
 type config_id = string
-(** The name of an {!Sw_arch.Config} preset, optionally with a
-    micro-kernel override: ["tiny4"] is the preset as registered,
-    ["tiny4\@8x8x4"] the same machine with an 8x8x4 micro kernel — the
-    form tuned winners take when the tuning DB feeds the fuzzer. Only
-    ids that resolve (known preset, positive [MxNxK], and a machine
-    model {!Sw_arch.Config.validate} accepts) are valid —
+(** A machine configuration, named in one of two forms, each optionally
+    followed by a micro-kernel override [\@MxNxK]:
+    - an {!Sw_arch.Config} registry name or alias (["tiny4"],
+      ["tiny-2x2"]);
+    - ["tiny-RxC"] for any other R x C mesh, built as
+      [Sw_arch.Config.tiny ~mesh:R ~cols:C ()]; registry names resolve
+      first, so ["tiny-8x8"] is the preset.
+
+    ["tiny4\@8x8x4"] is [tiny4] with an 8x8x4 micro kernel — the form
+    tuned winners take when the tuning DB feeds the fuzzer;
+    ["tiny-1x3\@2x2x2"] is a 1 x 3 mesh with a 2x2x2 one. R, C, M, N and
+    K are positive decimal integers, and an override must leave a
+    machine model {!Sw_arch.Config.validate} accepts.
     {!config_id_of_string} is the checked constructor. *)
 
 val config_id_of_string : string -> config_id option
-(** [Some id] iff the registry knows the name. *)
+(** [Some id] iff [id] resolves to a machine configuration; never
+    raises. *)
 
 val config_of : config_id -> Sw_arch.Config.t
-(** Raises [Invalid_argument] on a name the registry cannot resolve. *)
+(** Raises [Invalid_argument] on an id that does not resolve. *)
 
 type t = {
   spec : Sw_core.Spec.t;

@@ -17,7 +17,7 @@ let options_pool =
      Options.baseline |]
 
 (* default machine pool, weighted toward the smallest model; a fuzz
-   campaign can substitute any registry presets via [?archs] *)
+   campaign can substitute any config ids via [?archs] *)
 let default_archs = [| "tiny2"; "tiny2"; "tiny2-deep"; "tiny4" |]
 let batches = [| None; None; None; Some 2; Some 3 |]
 
@@ -25,9 +25,9 @@ let batches = [| None; None; None; Some 2; Some 3 |]
    milliseconds on the tiny models *)
 let max_volume = 16_384
 
-let gen_dim st ~tile =
-  if Random.State.bool st then tile * (1 + Random.State.int st 3)
-  else 1 + Random.State.int st (3 * tile)
+let gen_dim st ~trips ~tile =
+  if Random.State.bool st then tile * (1 + Random.State.int st trips)
+  else 1 + Random.State.int st (trips * tile)
 
 let clamp_volume (spec : Spec.t) =
   let nb = match spec.Spec.batch with Some b -> b | None -> 1 in
@@ -46,23 +46,38 @@ let gen_fusion st =
   | 1 -> Spec.Epilogue (pick st epilogue_fns)
   | _ -> Spec.No_fusion
 
+(* The decomposition tiles of the case's machine and the most of them a
+   dimension spans: 3, or more where a batch of three cubes of
+   [trips] tiles a side still fits the volume budget — so the small
+   meshes reach trip counts of 4 and more, and every registry preset
+   keeps 3. *)
 let tiles_of config =
   let cfg = Case.config_of config in
-  ( cfg.Sw_arch.Config.mesh_rows * cfg.Sw_arch.Config.mk_m,
-    cfg.Sw_arch.Config.mesh_cols * cfg.Sw_arch.Config.mk_n,
+  let tm = cfg.Sw_arch.Config.mesh_rows * cfg.Sw_arch.Config.mk_m
+  and tn = cfg.Sw_arch.Config.mesh_cols * cfg.Sw_arch.Config.mk_n
+  and tk =
     min cfg.Sw_arch.Config.mesh_rows cfg.Sw_arch.Config.mesh_cols
-    * cfg.Sw_arch.Config.mk_k )
+    * cfg.Sw_arch.Config.mk_k
+  in
+  let budget = max_volume / (3 * tm * tn * tk) in
+  let rec root t =
+    if (t + 1) * (t + 1) * (t + 1) <= budget then root (t + 1) else t
+  in
+  (max 3 (root 0), tm, tn, tk)
 
 let fresh ?(archs = default_archs) st =
   let config = pick st archs in
-  let tm, tn, tk = tiles_of config in
+  let trips, tm, tn, tk = tiles_of config in
   let spec =
     Spec.make
       ?batch:(pick st batches)
       ~alpha:(pick st alphas) ~beta:(pick st betas)
       ~ta:(Random.State.bool st) ~tb:(Random.State.bool st)
-      ~fusion:(gen_fusion st) ~m:(gen_dim st ~tile:tm) ~n:(gen_dim st ~tile:tn)
-      ~k:(gen_dim st ~tile:tk) ()
+      ~fusion:(gen_fusion st)
+      ~m:(gen_dim st ~trips ~tile:tm)
+      ~n:(gen_dim st ~trips ~tile:tn)
+      ~k:(gen_dim st ~trips ~tile:tk)
+      ()
   in
   {
     Case.spec = clamp_volume spec;
@@ -75,12 +90,12 @@ let fresh ?(archs = default_archs) st =
 (* re-randomize one facet of a corpus entry *)
 let mutate st (base : Case.t) =
   let s = base.Case.spec in
-  let tm, tn, tk = tiles_of base.Case.config in
+  let trips, tm, tn, tk = tiles_of base.Case.config in
   let spec =
     match Random.State.int st 8 with
-    | 0 -> { s with Spec.m = gen_dim st ~tile:tm }
-    | 1 -> { s with Spec.n = gen_dim st ~tile:tn }
-    | 2 -> { s with Spec.k = gen_dim st ~tile:tk }
+    | 0 -> { s with Spec.m = gen_dim st ~trips ~tile:tm }
+    | 1 -> { s with Spec.n = gen_dim st ~trips ~tile:tn }
+    | 2 -> { s with Spec.k = gen_dim st ~trips ~tile:tk }
     | 3 -> { s with Spec.batch = pick st batches }
     | 4 -> { s with Spec.ta = not s.Spec.ta; tb = Random.State.bool st }
     | 5 -> { s with Spec.alpha = pick st alphas; beta = pick st betas }

@@ -3,8 +3,8 @@
     A session bundles everything one generator instance needs — the
     machine model, the enabled optimizations, the plan cache, the durable
     store, debug mode, the pass observer, the request deadline and the
-    tuning-DB lookup — so the CLI, the daemon ([swgemmd]), the sweep and
-    bench harnesses, the runner and the multi-cluster simulator all
+    tuning-DB lookup — so the CLI, the daemon ([swgemmd]), the fuzzer
+    and bench harnesses, the runner and the multi-cluster simulator all
     compile through one value instead of a forest of optional arguments.
 
     {b Lifecycle contract.} {!create} is the single constructor: it
@@ -50,8 +50,8 @@ val create :
   arch:Sw_arch.Config.t ->
   unit ->
   t
-(** The one builder every binary uses ([swgemmgen], [swgemmd], [sweep],
-    [bench], the examples and tests).
+(** The one builder every binary uses ([swgemmgen], [swgemmd], [bench],
+    the examples and tests).
 
     Cache resolution, most explicit first: an explicit [~cache] (a cache
     shared with other sessions) is used as-is; [~no_cache:true] disables

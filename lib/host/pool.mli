@@ -1,6 +1,6 @@
 (** Fixed-size domain pool for host-side fan-out.
 
-    The multi-cluster simulator, the sweep harness, the bench series and
+    The multi-cluster simulator, the fuzzer, the bench series and
     the CLI fault-seed matrix all fan independent jobs out over a pool of
     OCaml 5 domains. The design goals, in order:
 

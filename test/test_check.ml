@@ -48,7 +48,8 @@ let test_epilogue_paths () =
        ~config:"tiny4" 12 8 8)
 
 (* The same fixed GEMM agrees through all three routes on every mesh
-   geometry of the conformance matrix, including the asymmetric 8x4. *)
+   geometry of the conformance matrix, including the asymmetric 8x4, and
+   on 1x1, 1xN, Nx1 and 3x3 tiny meshes named by config id. *)
 let test_arch_matrix_oracle () =
   List.iter
     (fun preset ->
@@ -56,7 +57,17 @@ let test_arch_matrix_oracle () =
         (mk ~alpha:1.5 ~beta:0.5 ~config:preset 24 20 16);
       expect_ok ("arch ragged " ^ preset)
         (mk ~ta:true ~fusion:(Spec.Epilogue "relu") ~config:preset 19 13 9))
-    [ "tiny2"; "tiny4"; "tiny-8x4"; "tiny-8x8"; "tiny-16x16" ]
+    [
+      "tiny2";
+      "tiny4";
+      "tiny-8x4";
+      "tiny-8x8";
+      "tiny-16x16";
+      "tiny-1x1@2x2x2";
+      "tiny-1x3";
+      "tiny-3x1@2x4x2";
+      "tiny-3x3@4x2x2";
+    ]
 
 let test_prologue_path () =
   expect_ok "prologue quant"
@@ -294,6 +305,63 @@ let test_campaign_deterministic () =
   Alcotest.(check string) "identical per-case log" out1 out2;
   Alcotest.(check int) "identical novel-coverage count" novel1 novel2
 
+(* The config-id grammar: registry names and aliases resolve first, any
+   other tiny-RxC is Config.tiny on that mesh, and @MxNxK overrides the
+   micro kernel; a bad id is rejected, never raised. *)
+let test_config_ids () =
+  List.iter
+    (fun (id, name, mesh, mk) ->
+      match Check.Case.config_id_of_string id with
+      | None -> Alcotest.failf "%s rejected" id
+      | Some id ->
+          let c = Check.Case.config_of id in
+          Alcotest.(check (triple string (pair int int) (triple int int int)))
+            id (name, mesh, mk)
+            ( c.Sw_arch.Config.name,
+              (c.Sw_arch.Config.mesh_rows, c.Sw_arch.Config.mesh_cols),
+              (c.Sw_arch.Config.mk_m, c.Sw_arch.Config.mk_n,
+               c.Sw_arch.Config.mk_k) ))
+    [
+      ("tiny2", "tiny2", (2, 2), (4, 4, 2));
+      ("tiny-2x2", "tiny2", (2, 2), (4, 4, 2));
+      ("tiny4@8x8x4", "tiny4", (4, 4), (8, 8, 4));
+      ("tiny-1x3", "tiny-1x3", (1, 3), (4, 4, 2));
+      ("tiny-3x2@2x4x2", "tiny-3x2", (3, 2), (2, 4, 2));
+    ];
+  List.iter
+    (fun id ->
+      Alcotest.(check (option string)) id None
+        (Check.Case.config_id_of_string id))
+    [
+      "tiny-0x3";
+      "tiny-2x";
+      "tiny-2x3@0x2x2";
+      "tiny-2x3@2x2";
+      "nope";
+      "tiny-0x2x3";
+      (* overflows the 16 KiB SPM: Config.validate rejects it *)
+      "tiny4@64x64x32";
+    ]
+
+(* The first 64 cases a seed-1 campaign draws, for the default pool and
+   the four-geometry pool, digested. A change to the size draw moves
+   every seeded campaign — CI's byte-compared fuzz runs and the
+   fuzz_conformance benchmark among them — and fails here by name. *)
+let test_draw_pinned () =
+  let digest archs =
+    let master = Random.State.make [| 1; 0x53774747 |] in
+    List.init 64 (fun id ->
+        Check.Case.to_string
+          (Check.Gen.generate ?archs (Random.State.split master) ~id
+             ~corpus:[] ~fault:None))
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "default pool" "769476293b2c525b7bf7ebef8084db84"
+    (digest None);
+  Alcotest.(check string) "four-geometry pool"
+    "bbbab533528e6eb7ffb6c93083f5bd5b"
+    (digest (Some [| "tiny-8x8"; "tiny4"; "tiny-8x4"; "tiny-16x16" |]))
+
 let tests =
   [
     Alcotest.test_case "epilogue fusion paths (3-way + metamorphic)" `Quick
@@ -315,4 +383,7 @@ let tests =
       test_sabotage_shrunk_and_replayed;
     Alcotest.test_case "campaign output is deterministic" `Quick
       test_campaign_deterministic;
+    Alcotest.test_case "config ids: presets, tiny-RxC and @MxNxK" `Quick
+      test_config_ids;
+    Alcotest.test_case "default size draw is pinned" `Quick test_draw_pinned;
   ]

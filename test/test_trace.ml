@@ -370,8 +370,12 @@ let corpus_digests =
      "0a663010d894ad82 0x1.0bff6636eeffap-13 retries=0");
     ("case-01890066.json",
      "43c12d14e6ab7902 0x1.72172ff58156p-13 retries=0");
+    ("case-018d8352.json",
+     "09ab91334117eeb2 0x1.7de46c08ab2e8p-13 retries=0");
     ("case-03b28e32.json",
      "469468844c986a66 0x1.1e20ca0e87f52p-13 retries=0");
+    ("case-03d51eb1.json",
+     "15b280e216d97d5d 0x1.83c1ec9d1d9fp-13 retries=0");
     ("case-03f4c402.json",
      "2bbd847c0bf7f3af 0x1.71ba52bc10157p-13 retries=0");
     ("case-0489f0d9.json",
@@ -380,12 +384,16 @@ let corpus_digests =
      "35cd1fb2727d76ae 0x1.2f4b520f2e81ep-12 retries=0");
     ("case-06a6609b.json",
      "3ce01d93c4de5f01 0x1.3629ae78c14b2p-13 retries=0");
+    ("case-07117aab.json",
+     "056e9b1c581edbd8 0x1.a58867c20f9a6p-12 retries=0");
     ("case-07dd3b2f.json",
      "434707c9873042e1 0x1.2796c5995e586p-13 retries=0");
     ("case-07efa469.json",
      "1d183a22f844e59f 0x1.4bc9500cf659fp-13 retries=0");
     ("case-09a0fce9.json",
      "790665143218bd85 0x1.2c898be8ced7fp-12 retries=0");
+    ("case-0a0e0037.json",
+     "61000e0bba6e6318 0x1.ce11d2261aa75p-13 retries=0");
     ("case-0b42ca55.json",
      "3fd4411ff0ae29c1 0x1.1026b813cb566p-13 retries=0");
     ("case-0b8fcf11.json",
@@ -396,10 +404,14 @@ let corpus_digests =
      "34ad43fce4d98569 0x1.93119aa6ef58ep-13 retries=0");
     ("case-0cd3dc8a.json",
      "7590cbb9f82b2d29 0x1.70e9eee6031ccp-13 retries=0");
+    ("case-0d168334.json",
+     "7d58c1deb9ee66f4 0x1.9a2136f5567d6p-13 retries=0");
     ("case-0dd87da9.json",
      "1a8131bf27a21209 0x1.60e025b46e026p-13 retries=0");
     ("case-0de86e91.json",
      "1d2803de899841db 0x1.2ba359e0d93cfp-13 retries=0");
+    ("case-0e183714.json",
+     "54d4e58566dec085 0x1.e2bf8ebe4897p-13 retries=0");
     ("case-0ecd3ca1.json",
      "18ae4cacce46c95d 0x1.9a634a55d315bp-13 retries=0");
     ("case-10115f81.json",
@@ -416,8 +428,12 @@ let corpus_digests =
      "61e68e7b3af1c73c 0x1.4daf4b92a5c7bp-13 retries=0");
     ("case-13f4ff15.json",
      "723b5d0f0845c293 0x1.35a419b12a749p-13 retries=0");
+    ("case-14967e94.json",
+     "27340d4f56d4e64d 0x1.3b84c61572757p-13 retries=0");
     ("case-14ddc9dc.json",
      "558f59e2889dedd8 0x1.24ba8ac60d887p-13 retries=0");
+    ("case-15c8f824.json",
+     "57adf119e7cacf8e 0x1.868c6777700a6p-13 retries=0");
     ("case-16192d01.json",
      "1383000661099038 0x1.60b798defe5abp-12 retries=0");
     ("case-17de2315.json",
@@ -446,6 +462,8 @@ let corpus_digests =
      "5fb76d476229ba2e 0x1.3101257d0693ap-13 retries=0");
     ("case-1f0501f0.json",
      "7a16dcc455fa6380 0x1.1cd433d31113ap-13 retries=0");
+    ("case-1fc0c0e7.json",
+     "2b481c8fd314f3b5 0x1.7b9c998c81d9bp-13 retries=0");
     ("case-206e0a16.json",
      "06bead961cd50d83 0x1.2c22bfb00b64fp-13 retries=0");
     ("case-239612e5.json",
@@ -454,10 +472,14 @@ let corpus_digests =
      "04d5e3b1827fb38b 0x1.0cb5138e72cd9p-13 retries=0");
     ("case-25c491cd.json",
      "13f310b8f759816c 0x1.9d15fcfffa9c8p-13 retries=0");
+    ("case-26320061.json",
+     "430e9c134c638b4e 0x1.ab43dc767f8f6p-13 retries=0");
     ("case-29c61f93.json",
      "6199a8b9ad18bfb1 0x1.4a3c6057496a3p-13 retries=0");
     ("case-2b5f3df4.json",
      "7ca0690a4b51ebe4 0x1.303acb061b80fp-13 retries=0");
+    ("case-2bcdd553.json",
+     "235bc6345ccb9d14 0x1.a173c638ca783p-13 retries=0");
     ("case-2c9cc606.json",
      "6c9556126a38be10 0x1.5bb650b5afd18p-13 retries=0");
     ("case-2d1ea457.json",
@@ -466,6 +488,8 @@ let corpus_digests =
      "2cc1285feefa3bea 0x1.158964e1cbd48p-12 retries=0");
     ("case-2f78db07.json",
      "627c706d8c47bbdc 0x1.09654fd5206ebp-13 retries=0");
+    ("case-31413c00.json",
+     "5c3ca699e6ad5993 0x1.14a9104288b97p-12 retries=0");
     ("case-31ed23d3.json",
      "326a607f3f8e053a 0x1.3601357fe0bc5p-13 retries=0");
     ("case-328d84eb.json",
