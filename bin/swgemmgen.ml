@@ -136,21 +136,14 @@ let store_term =
   in
   Term.(term_result (const open_ $ Common_flags.store_arg))
 
-(* One cacheless compilation, its typed error turned into a CLI error. *)
+(* One cacheless compilation. *)
 let compile_once ?store ?deadline ~options ~config spec =
   Compile.run
     (Session.create ~no_cache:true ~options ?store ?deadline ~arch:config ())
     spec
-  |> Result.map_error (fun e -> `Msg (Error.to_string e))
 
-(* Compile and measure on the timing path: the step perf and breakdown
-   share. *)
-let measure ~options ~config spec =
-  Result.bind (compile_once ~options ~config spec) (fun compiled ->
-      match Runner.measure compiled with
-      | p -> Ok (compiled, p)
-      | exception Runner.Runner_error e ->
-          Error (`Msg (Runner.error_to_string e)))
+(* A typed error as a CLI error. *)
+let cli_error r = Result.map_error (fun e -> `Msg (Error.to_string e)) r
 
 let emit_arg =
   let doc = "Directory to write the generated MPE/CPE C files into." in
@@ -362,7 +355,9 @@ let verify_cmd =
     Common_flags.with_logging ?level:log_level ?file:log_file @@ fun () ->
     Common_flags.with_metrics metrics @@ fun () ->
     match
-      compile_once ?store:(Option.map snd store) ?deadline ~options ~config spec
+      cli_error
+        (compile_once ?store:(Option.map snd store) ?deadline ~options ~config
+           spec)
     with
     | Error _ as e -> e
     | Ok compiled -> (
@@ -443,27 +438,22 @@ let verify_cmd =
 (* perf                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One measured rate, as perf and profile print it. *)
-let print_gflops config ~label (p : Runner.perf) =
-  Printf.printf "  %s%10.2f Gflops (%5.2f%% of peak)%s\n" label p.gflops
-    (100.0 *. p.gflops /. Config.peak_gflops config)
-    (if p.exact then "" else "  [extrapolated]")
-
 let perf_cmd =
   let run spec options config =
     Result.map
-      (fun (compiled, p) ->
-        let x = Sw_xmath.Xmath.measure config compiled.Compile.spec in
+      (fun (r : Report.t) ->
+        let x = Sw_xmath.Xmath.measure config r.compiled.spec in
         Printf.printf "%s [%s]\n"
-          (Spec.to_string compiled.Compile.spec)
-          (Options.name options);
-        print_gflops config ~label:"generated: " p;
+          (Spec.to_string r.compiled.spec)
+          (Options.name r.compiled.options);
+        Printf.printf "  generated: %s\n" (Report.to_text r);
         Printf.printf "  xMath:     %10.2f Gflops (%5.2f%% of peak)\n"
           x.Sw_xmath.Xmath.gflops
           (100.0 *. x.Sw_xmath.Xmath.gflops /. Config.peak_gflops config);
         Printf.printf "  speedup:   %10.2fx\n"
-          (p.Runner.gflops /. x.Sw_xmath.Xmath.gflops))
-      (measure ~options ~config spec)
+          (r.perf.gflops /. x.Sw_xmath.Xmath.gflops))
+      (cli_error
+         (Result.bind (compile_once ~options ~config spec) Report.measure))
   in
   Cmd.v
     (Cmd.info "perf" ~doc:"Estimate performance and compare against xMath")
@@ -509,71 +499,60 @@ let profile_cmd =
       Sw_obs.Metrics.uninstall ()
     in
     Fun.protect ~finally @@ fun () ->
-    match compile_once ~options ~config spec with
+    match
+      cli_error
+        (Result.bind (compile_once ~options ~config spec) (fun compiled ->
+             Sw_obs.Span.ambient ~cat:"sim" "simulate" (fun () ->
+                 Report.traced compiled)))
+    with
     | Error _ as e -> e
-    | Ok compiled -> (
-        match
-          Sw_obs.Span.ambient ~cat:"sim" "simulate" (fun () ->
-              Runner.traced compiled)
-        with
-        | exception Runner.Runner_error e ->
-            Error (`Msg (Runner.error_to_string e))
-        | trace, perf ->
-            let mesh = (config.Config.mesh_rows, config.Config.mesh_cols) in
-            let util = Trace.utilization trace ~mesh in
-            let prof = Obs_bridge.profile trace in
-            let roofline =
-              Sw_obs.Profile.roofline
-                ~flops:(float_of_int (Compile.flops compiled))
-                ~bytes:(float_of_int util.Trace.dma_bytes)
-                ~seconds:perf.Runner.seconds
-                ~peak_gflops:(Config.peak_gflops config)
-                ~bw_gbytes_per_s:(config.Config.mem_bw_bytes_per_s /. 1e9)
-            in
-            Obs_bridge.to_chrome trace ~mesh sink;
-            let slug = file_slug (Spec.to_string compiled.Compile.spec) in
-            let report_path =
-              Filename.concat out_dir (Printf.sprintf "profile-%s.json" slug)
-            in
-            let trace_path =
-              Filename.concat out_dir
-                (Printf.sprintf "profile-%s.trace.json" slug)
-            in
-            let report =
-              Sw_obs.Json.Obj
-                [
-                  ("spec", String (Spec.to_string compiled.Compile.spec));
-                  ("options", String (Options.name options));
-                  ("gflops", Float perf.Runner.gflops);
-                  ("seconds", Float perf.Runner.seconds);
-                  ("exact", Bool perf.Runner.exact);
-                  ("dma_bytes", Int util.Trace.dma_bytes);
-                  ("rma_bytes", Int util.Trace.rma_bytes);
-                  ("profile", Sw_obs.Profile.to_json prof);
-                  ("roofline", Sw_obs.Profile.roofline_to_json roofline);
-                  ( "metrics",
-                    Sw_obs.Metrics.to_json
-                      (Sw_obs.Metrics.snapshot registry) );
-                ]
-            in
-            Sw_obs.Json.write_file ~pretty:true ~path:report_path report;
-            Sw_obs.Json.write_file ~path:trace_path
-              (Sw_obs.Span.to_chrome sink);
-            Printf.printf "profile of %s [%s]\n"
-              (Spec.to_string compiled.Compile.spec)
-              (Options.name options);
-            print_gflops config ~label:"" perf;
-            print_string (Sw_obs.Profile.to_text prof);
-            Printf.printf
-              "  roofline: AI %.2f flop/B vs ridge %.2f -> %s (attainable \
-               %.2f Gflops)\n"
-              roofline.Sw_obs.Profile.ai roofline.Sw_obs.Profile.ridge
-              (Sw_obs.Profile.verdict_to_string
-                 roofline.Sw_obs.Profile.verdict)
-              roofline.Sw_obs.Profile.attainable_gflops;
-            Printf.printf "  [wrote %s]\n  [wrote %s]\n" report_path
-              trace_path;
-            Ok ())
+    | Ok (trace, r) ->
+        let mesh = (config.Config.mesh_rows, config.Config.mesh_cols) in
+        let util = Trace.utilization trace ~mesh in
+        let prof = Obs_bridge.profile trace in
+        let roofline =
+          Sw_obs.Profile.roofline
+            ~flops:(float_of_int (Compile.flops r.compiled))
+            ~bytes:(float_of_int util.Trace.dma_bytes)
+            ~seconds:r.perf.seconds
+            ~peak_gflops:(Config.peak_gflops config)
+            ~bw_gbytes_per_s:(config.Config.mem_bw_bytes_per_s /. 1e9)
+        in
+        Obs_bridge.to_chrome trace ~mesh sink;
+        let slug = file_slug (Spec.to_string r.compiled.spec) in
+        let report_path =
+          Filename.concat out_dir (Printf.sprintf "profile-%s.json" slug)
+        in
+        let trace_path =
+          Filename.concat out_dir (Printf.sprintf "profile-%s.trace.json" slug)
+        in
+        let report =
+          Report.to_json r
+            ~extra:
+              [
+                ("dma_bytes", Int util.Trace.dma_bytes);
+                ("rma_bytes", Int util.Trace.rma_bytes);
+                ("profile", Sw_obs.Profile.to_json prof);
+                ("roofline", Sw_obs.Profile.roofline_to_json roofline);
+                ( "metrics",
+                  Sw_obs.Metrics.to_json (Sw_obs.Metrics.snapshot registry) );
+              ]
+        in
+        Sw_obs.Json.write_file ~pretty:true ~path:report_path report;
+        Sw_obs.Json.write_file ~path:trace_path (Sw_obs.Span.to_chrome sink);
+        Printf.printf "profile of %s [%s]\n"
+          (Spec.to_string r.compiled.spec)
+          (Options.name r.compiled.options);
+        Printf.printf "  %s\n" (Report.to_text r);
+        print_string (Sw_obs.Profile.to_text prof);
+        Printf.printf
+          "  roofline: AI %.2f flop/B vs ridge %.2f -> %s (attainable %.2f \
+           Gflops)\n"
+          roofline.Sw_obs.Profile.ai roofline.Sw_obs.Profile.ridge
+          (Sw_obs.Profile.verdict_to_string roofline.Sw_obs.Profile.verdict)
+          roofline.Sw_obs.Profile.attainable_gflops;
+        Printf.printf "  [wrote %s]\n  [wrote %s]\n" report_path trace_path;
+        Ok ()
   in
   let term =
     Term.(
@@ -609,9 +588,11 @@ let breakdown_cmd =
         (fun acc (name, options) ->
           Result.bind acc (fun () ->
               Result.map
-                (fun (_, p) ->
-                  Printf.printf "  %-16s %10.2f Gflops\n" name p.Runner.gflops)
-                (measure ~options ~config spec)))
+                (fun (r : Report.t) ->
+                  Printf.printf "  %-16s %10.2f Gflops\n" name r.perf.gflops)
+                (cli_error
+                   (Result.bind (compile_once ~options ~config spec)
+                      Report.measure))))
         (Ok ()) Options.breakdown
     in
     Result.map
@@ -1168,7 +1149,7 @@ let debug_cmd =
         Printf.printf "compiled %s [%s]\n"
           (Spec.to_string compiled.Compile.spec)
           (Options.name options)
-    | Error (`Msg e) -> Printf.printf "compile failed: %s\n" e);
+    | Error e -> Printf.printf "compile failed: %s\n" (Error.to_string e));
     let path = Sw_obs.Flight.dump ~reason:"debug.dump" flight in
     Printf.printf "flight record: %s\n" path;
     Ok ()

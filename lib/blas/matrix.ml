@@ -28,18 +28,6 @@ let set m i j v =
     invalid_arg "Matrix.set: out of bounds";
   m.data.((i * m.cols) + j) <- v
 
-let pad m ~rows ~cols =
-  if rows < m.rows || cols < m.cols then invalid_arg "Matrix.pad: shrinking";
-  let out = create ~rows ~cols in
-  for i = 0 to m.rows - 1 do
-    Array.blit m.data (i * m.cols) out.data (i * cols) m.cols
-  done;
-  out
-
-let unpad m ~rows ~cols =
-  if rows > m.rows || cols > m.cols then invalid_arg "Matrix.unpad: growing";
-  init ~rows ~cols ~f:(fun i j -> get m i j)
-
 let max_abs_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg "Matrix.max_abs_diff: shape mismatch";

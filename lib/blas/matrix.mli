@@ -12,13 +12,6 @@ val copy : t -> t
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
-val pad : t -> rows:int -> cols:int -> t
-(** Zero-pad to a larger shape (contents in the top-left corner). Raises
-    [Invalid_argument] when shrinking. *)
-
-val unpad : t -> rows:int -> cols:int -> t
-(** Extract the top-left [rows x cols] corner. *)
-
 val max_abs_diff : t -> t -> float
 (** Largest absolute element-wise difference; raises on shape mismatch. *)
 

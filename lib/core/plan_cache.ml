@@ -142,17 +142,6 @@ let mem t k =
   let s = shard_of t k in
   locked s (fun () -> Hashtbl.mem s.table k)
 
-let clear t =
-  Array.iter
-    (fun s ->
-      locked s (fun () ->
-          Hashtbl.reset s.table;
-          s.order <- [];
-          s.hits <- 0;
-          s.misses <- 0;
-          s.evictions <- 0))
-    t.shards
-
 let stats (t : 'a t) =
   Array.fold_left
     (fun acc s ->

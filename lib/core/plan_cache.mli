@@ -48,5 +48,4 @@ val add : 'a t -> key:string -> 'a -> bool
     durable store are preloaded without skewing traffic counters. *)
 
 val mem : 'a t -> string -> bool
-val clear : 'a t -> unit
 val stats : 'a t -> stats

@@ -14,6 +14,10 @@ let error_to_string = function
         "batch %d: max |difference| %.3e exceeds tolerance (scale %.3e) for %s"
         batch diff scale spec
 
+let to_error = function
+  | Sim e -> e
+  | Mismatch _ as e -> Error.Invalid (error_to_string e)
+
 exception Runner_error of error
 
 let () =

@@ -48,6 +48,10 @@ type error =
 
 val error_to_string : error -> string
 
+val to_error : error -> Sw_arch.Error.t
+(** As a typed error: [Sim e] is [e], a [Mismatch] is [Invalid] with its
+    {!error_to_string} text. *)
+
 exception Runner_error of error
 
 (** {2 Simulation} *)

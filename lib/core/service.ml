@@ -22,15 +22,12 @@ let invalid fmt = Printf.ksprintf (fun s -> Result.Error (Error.Invalid s)) fmt
 
 let compile_result_json (compiled : Compile.t) =
   Json.Obj
-    [
-      ("name", Json.String compiled.Compile.program.Sw_ast.Ast.prog_name);
-      ("spec", Spec.to_json compiled.Compile.original);
-      ("padded", Spec.to_json compiled.Compile.spec);
-      ("options", Options.to_json compiled.Compile.options);
-      ("spm_bytes", Json.Int (Sw_ast.Ast.spm_bytes compiled.Compile.program));
-      ("mpe_c", Json.String (Cemit.mpe_file compiled));
-      ("cpe_c", Json.String (Cemit.cpe_file compiled));
-    ]
+    ((("name", Json.String compiled.program.Sw_ast.Ast.prog_name)
+     :: Report.plan_fields compiled)
+    @ [
+        ("mpe_c", Json.String (Cemit.mpe_file compiled));
+        ("cpe_c", Json.String (Cemit.cpe_file compiled));
+      ])
 
 (* Decode params.spec / params.options and compile through the shared
    session (an options override derives a sibling session; the cache is
@@ -42,21 +39,13 @@ let compile_request t params =
       match Spec.of_json spec_json with
       | Result.Error e -> invalid "compile: %s" e
       | Ok spec -> (
-          let session =
-            match Json.member "options" params with
-            | None -> Ok t.session
-            | Some o -> (
-                match Options.of_json o with
-                | Ok opts -> Ok (Session.with_options t.session opts)
-                | Result.Error e ->
-                    Result.Error (Error.Invalid ("compile: " ^ e)))
-          in
-          match session with
-          | Result.Error _ as e -> e
-          | Ok session -> (
-              match Session.run session spec with
-              | Ok compiled -> Ok compiled
-              | Result.Error _ as e -> e)))
+          match Json.member "options" params with
+          | None -> Session.run t.session spec
+          | Some o -> (
+              match Options.of_json o with
+              | Ok opts ->
+                  Session.run (Session.with_options t.session opts) spec
+              | Result.Error e -> invalid "compile: %s" e)))
 
 let verify_request t params =
   match compile_request t params with
@@ -74,29 +63,13 @@ let verify_request t params =
                  ("spec", Spec.to_json compiled.Compile.original);
                  ("padded", Spec.to_json compiled.Compile.spec);
                ])
-      | Result.Error (Runner.Sim e) -> Result.Error e
-      | Result.Error (Runner.Mismatch _ as e) ->
-          Result.Error (Error.Invalid (Runner.error_to_string e)))
+      | Result.Error e -> Result.Error (Runner.to_error e))
 
 (* Expose the simulator's performance model over the wire so remote
    clients can rank configurations without a local toolchain. *)
 let profile_request t params =
-  match compile_request t params with
-  | Result.Error _ as e -> e
-  | Ok compiled ->
-      let perf = Runner.measure compiled in
-      Ok
-        (Json.Obj
-           [
-             ("gflops", Json.Float perf.Runner.gflops);
-             ("seconds", Json.Float perf.Runner.seconds);
-             ("exact", Json.Bool perf.Runner.exact);
-             ("spec", Spec.to_json compiled.Compile.original);
-             ("padded", Spec.to_json compiled.Compile.spec);
-             ("options", Options.to_json compiled.Compile.options);
-             ( "spm_bytes",
-               Json.Int (Sw_ast.Ast.spm_bytes compiled.Compile.program) );
-           ])
+  Result.bind (compile_request t params) Report.measure
+  |> Result.map Report.to_json
 
 let stat_request t =
   let cache =
@@ -144,7 +117,5 @@ let handle ~client:_ ~meth ~params t =
               (String.concat "|" (builtin_methods @ List.map fst t.extensions)))
   with
   | Error.Sim_error e -> Result.Error e
-  | Runner.Runner_error (Runner.Sim e) -> Result.Error e
-  | Runner.Runner_error e -> Result.Error (Error.Invalid (Runner.error_to_string e))
 
 let handler t ~client ~meth ~params = handle ~client ~meth ~params t

@@ -16,9 +16,12 @@
       against the reference; answers [{verified: true, ...}] or a typed
       error ([race], [deadlock], [invalid], ...).
     - [profile] — like [compile], then measures the plan on the
-      performance simulator; answers [{gflops, seconds, exact, spec,
-      padded, options, spm_bytes}] ([gflops] is padded-problem flops per
-      second; [exact: false] marks block-periodic extrapolation).
+      performance simulator ({!Report.measure}); answers
+      {!Report.to_json}: [{gflops, seconds, exact, spec, padded, options,
+      spm_bytes}] ([gflops] is padded-problem flops per second;
+      [exact: false] marks block-periodic extrapolation). The last four
+      members are those the [compile] body carries too
+      ({!Report.plan_fields}).
     - [stat] — cache and store counters of the shared session
       ([null] for an absent component).
 

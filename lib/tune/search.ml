@@ -39,33 +39,27 @@ let measure_realized ~(spec : Spec.t) (c : Space.candidate)
     Session.create ~no_cache:true ~options:rz.Space.options ~arch:rz.Space.cfg
       ()
   in
-  match Compile.run session gemm_spec with
+  match Result.bind (Compile.run session gemm_spec) Report.measure with
   | Error e -> Error (Sw_arch.Error.to_string e)
-  | Ok compiled -> (
-      match
-        try Ok (Runner.measure compiled)
-        with Runner.Runner_error e -> Error (Runner.error_to_string e)
-      with
-      | Error e -> Error e
-      | Ok perf ->
-          let batch = Option.value spec.Spec.batch ~default:1 in
-          let split_pass =
-            (* an unfused winner still owes the element-wise work: charge
-               the baseline MPE pass it would run beside the GEMM *)
-            if c.Space.fuse then 0.0
-            else
-              match spec.Spec.fusion with
-              | Spec.No_fusion -> 0.0
-              | Spec.Prologue fn ->
-                  Config.mpe_ew_seconds rz.Space.cfg ~fn
-                    ~elems:(spec.Spec.m * spec.Spec.k * batch)
-              | Spec.Epilogue fn ->
-                  Config.mpe_ew_seconds rz.Space.cfg ~fn
-                    ~elems:(spec.Spec.m * spec.Spec.n * batch)
-          in
-          let seconds = perf.Runner.seconds +. split_pass in
-          if seconds <= 0.0 then Error "measurement returned zero time"
-          else Ok (float_of_int (Spec.flops spec) /. seconds /. 1e9))
+  | Ok { Report.perf; _ } ->
+      let batch = Option.value spec.Spec.batch ~default:1 in
+      let split_pass =
+        (* an unfused winner still owes the element-wise work: charge
+           the baseline MPE pass it would run beside the GEMM *)
+        if c.Space.fuse then 0.0
+        else
+          match spec.Spec.fusion with
+          | Spec.No_fusion -> 0.0
+          | Spec.Prologue fn ->
+              Config.mpe_ew_seconds rz.Space.cfg ~fn
+                ~elems:(spec.Spec.m * spec.Spec.k * batch)
+          | Spec.Epilogue fn ->
+              Config.mpe_ew_seconds rz.Space.cfg ~fn
+                ~elems:(spec.Spec.m * spec.Spec.n * batch)
+      in
+      let seconds = perf.Runner.seconds +. split_pass in
+      if seconds <= 0.0 then Error "measurement returned zero time"
+      else Ok (float_of_int (Spec.flops spec) /. seconds /. 1e9)
 
 let measure ~config ~spec c =
   match Space.realize ~config ~spec c with

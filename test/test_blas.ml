@@ -17,17 +17,6 @@ let test_matrix_basics () =
   Matrix.set c 0 0 (-1.0);
   Helpers.check_close "copy is deep" 0.0 (Matrix.get m 0 0)
 
-let test_pad_unpad () =
-  let m = Matrix.init ~rows:2 ~cols:3 ~f:(fun i j -> float_of_int ((10 * i) + j)) in
-  let p = Matrix.pad m ~rows:4 ~cols:5 in
-  Helpers.check_close "content preserved" 12.0 (Matrix.get p 1 2);
-  Helpers.check_close "padding is zero" 0.0 (Matrix.get p 3 4);
-  let u = Matrix.unpad p ~rows:2 ~cols:3 in
-  Helpers.check_close "roundtrip" 0.0 (Matrix.max_abs_diff m u);
-  match Matrix.pad m ~rows:1 ~cols:3 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "shrinking pad accepted"
-
 let test_round_up () =
   check Alcotest.int "already aligned" 512 (Matrix.round_up 512 ~multiple:512);
   check Alcotest.int "rounds" 1024 (Matrix.round_up 513 ~multiple:512);
@@ -112,7 +101,6 @@ let prop_random_deterministic =
 let tests =
   [
     ("matrix basics", `Quick, test_matrix_basics);
-    ("pad / unpad", `Quick, test_pad_unpad);
     ("round_up", `Quick, test_round_up);
     ("gemm identity", `Quick, test_gemm_identity);
     ("gemm beta", `Quick, test_gemm_beta);

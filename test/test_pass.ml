@@ -253,18 +253,6 @@ let test_cache_eviction () =
   Alcotest.(check int) "evicted key recomputes" 4
     (Plan_cache.find_or_add cache ~key:"a" (fun () -> 4))
 
-let test_cache_clear () =
-  let cache = Plan_cache.create () in
-  ignore (Plan_cache.find_or_add cache ~key:"x" (fun () -> 1));
-  ignore (Plan_cache.find_or_add cache ~key:"x" (fun () -> 2));
-  Plan_cache.clear cache;
-  let st = Plan_cache.stats cache in
-  Alcotest.(check int) "entries reset" 0 st.Plan_cache.entries;
-  Alcotest.(check int) "hits reset" 0 st.Plan_cache.hits;
-  Alcotest.(check int) "misses reset" 0 st.Plan_cache.misses;
-  Alcotest.(check int) "producer runs again" 3
-    (Plan_cache.find_or_add cache ~key:"x" (fun () -> 3))
-
 (* ------------------------------------------------------------------ *)
 (* Property: the validator accepts every tree any enabled-pass subset    *)
 (* produces on random small specs                                       *)
@@ -328,7 +316,6 @@ let tests =
     Alcotest.test_case "cache hit" `Quick test_cache_hit;
     Alcotest.test_case "cache invalidation" `Quick test_cache_invalidation;
     Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
-    Alcotest.test_case "cache clear" `Quick test_cache_clear;
     Helpers.qtest ~count:100 "random specs x pass subsets validate"
       arb_pipeline_input prop_debug_compile;
   ]

@@ -321,7 +321,17 @@ let test_profile_method () =
       check Alcotest.bool "echoes the spec" true
         (Json.member "spec" body <> None);
       check Alcotest.bool "reports the padded spec" true
-        (Json.member "padded" body <> None));
+        (Json.member "padded" body <> None);
+      check Alcotest.string "body is byte-stable"
+        "{\"gflops\":0.17783114539778594,\"seconds\":0.00036852937011345343,\
+         \"exact\":true,\
+         \"spec\":{\"m\":32,\"n\":32,\"k\":32,\"alpha\":1,\"beta\":1,\
+         \"ta\":false,\"tb\":false},\
+         \"padded\":{\"m\":32,\"n\":32,\"k\":32,\"alpha\":1,\"beta\":1,\
+         \"ta\":false,\"tb\":false},\
+         \"options\":{\"use_asm\":true,\"use_rma\":true,\"hiding\":true},\
+         \"spm_bytes\":640}"
+        (Json.to_string body));
   (* totality: profile on malformed params is a typed invalid, no raise *)
   (match
      Sw_core.Service.handle ~client:"t" ~meth:"profile" ~params:Json.Null
